@@ -754,5 +754,16 @@ mod tests {
             a.iter().any(|d| d.round_trip.cumulative_observable),
             "some test must be cumulative-only observable"
         );
+        // The sweep lifts only the first `max_witnesses` witnesses per
+        // point, so an encoding change that reorders `Session::enumerate`
+        // can quietly trade distinguishing tests for duplicates or
+        // non-distinguishing ones. The current encoding keeps 144; fewer
+        // is a regression.
+        const KEPT_AT_BOUND_FIVE: usize = 144;
+        assert!(
+            a.len() >= KEPT_AT_BOUND_FIVE,
+            "the sweep kept {} distinguishing tests, fewer than {KEPT_AT_BOUND_FIVE}",
+            a.len()
+        );
     }
 }

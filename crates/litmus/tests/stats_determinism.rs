@@ -83,8 +83,8 @@ fn coww_structural_counters_are_pinned() {
     // or PTX axioms change, and such a change must be deliberate.
     // Regenerate with DUMP_STATS=1 and `--nocapture`.
     let pins: &[(&str, u64)] = &[
-        ("test.CoWW.sat.vars", 2146),
-        ("test.CoWW.sat.clauses", 6073),
+        ("test.CoWW.sat.vars", 1954),
+        ("test.CoWW.sat.clauses", 5497),
         ("test.CoWW.sat.tseitin_clauses", 321),
         ("test.CoWW.circuit.inputs", 116),
         ("test.CoWW.harness.queries", 1),

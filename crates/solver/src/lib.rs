@@ -12,7 +12,8 @@
 //!
 //! * sparse gate matrices with constant folding and structural hashing,
 //! * transitive closure by iterative squaring (naive unrolling available
-//!   for ablation),
+//!   for ablation), with the step count sized by the atoms the closed
+//!   relation actually touches rather than by the universe,
 //! * exact lower bounds contribute no SAT variables,
 //! * lex-leader symmetry breaking over interchangeable atoms.
 //!

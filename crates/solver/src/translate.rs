@@ -5,22 +5,27 @@
 //! are absent (constant-false), and tuples in between become free inputs.
 //! Relational operators combine matrices pointwise or by join; transitive
 //! closure uses iterative squaring (or naive unrolling, for the ablation
-//! study). Formulas reduce to a single root gate.
+//! study), sized by the *support* of the matrix being closed — the atoms
+//! in its non-false entries — rather than by the universe: no simple path
+//! or cycle over `k` atoms is longer than `k` edges, so the support bounds
+//! the squaring chain exactly. Formulas reduce to a single root gate.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use relational::ast::{Expr, Formula, VarId};
 use relational::{Atom, Bounds, Schema, Tuple, TupleSet, TypeError};
 
 use crate::circuit::{Circuit, GateId};
 
-/// Strategy for encoding transitive closure.
+/// Strategy for encoding transitive closure. Step counts are in terms of
+/// `k`, the support size of the matrix being closed (the number of atoms
+/// in its non-false entries), not the universe size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClosureStrategy {
-    /// `log₂(n)` squaring steps: `r ← r ∪ r;r`.
+    /// `⌈log₂ k⌉` squaring steps: `r ← r ∪ r;r`.
     #[default]
     IterativeSquaring,
-    /// `n-1` linear unrolling steps: `acc ← r ∪ acc;r`.
+    /// `k-1` linear unrolling steps: `acc ← r ∪ acc;r`.
     Unrolled,
 }
 
@@ -67,6 +72,16 @@ impl Matrix {
     /// The non-false entries.
     pub fn entries(&self) -> impl Iterator<Item = (&Tuple, GateId)> {
         self.entries.iter().map(|(t, &g)| (t, g))
+    }
+
+    /// The number of distinct atoms in the non-false entries.
+    fn support_size(&self) -> usize {
+        let atoms: BTreeSet<Atom> = self
+            .entries
+            .keys()
+            .flat_map(|t| t.atoms().iter().copied())
+            .collect();
+        atoms.len()
     }
 }
 
@@ -386,13 +401,16 @@ impl Translator {
         self.built(m)
     }
 
+    /// `^a`, covering paths of up to `k` edges where `k` is the support
+    /// size of `a`: any longer path revisits an atom, so it contains a
+    /// shorter path over a subset of its edges and adds nothing.
     fn closure(&mut self, a: &Matrix) -> Matrix {
-        let n = self.bounds.universe_size();
+        let k = a.support_size();
         match self.strategy {
             ClosureStrategy::IterativeSquaring => {
                 let mut acc = a.clone();
                 let mut span = 1usize;
-                while span < n {
+                while span < k {
                     let squared = self.join(&acc, &acc);
                     acc = self.union(&acc, &squared);
                     span *= 2;
@@ -401,7 +419,7 @@ impl Translator {
             }
             ClosureStrategy::Unrolled => {
                 let mut acc = a.clone();
-                for _ in 1..n {
+                for _ in 1..k {
                     let step = self.join(&acc, a);
                     acc = self.union(a, &step);
                 }
@@ -578,6 +596,98 @@ mod tests {
         let b = translate(&schema, &bounds, &f, ClosureStrategy::default()).unwrap();
         assert!(a.matrix_cells > 9, "closure work must be counted");
         assert_eq!(a.matrix_cells, b.matrix_cells);
+    }
+
+    /// Edge `i` of a chain or ring over atoms `5..5+k`: `5+i → 5+(i+1)%k`.
+    fn edge(i: usize, k: usize) -> (Atom, Atom) {
+        (5 + i as Atom, 5 + ((i + 1) % k) as Atom)
+    }
+
+    /// Closes a chain (`ring = false`) or a ring over atoms `5..5+k` of a
+    /// 32-atom universe, with every edge free. Returns the translator, the
+    /// closure, and the matrix cells the closure materialized.
+    fn close_chain_or_ring(
+        k: usize,
+        ring: bool,
+        strategy: ClosureStrategy,
+    ) -> (IncrementalTranslator, Matrix, u64) {
+        let mut schema = Schema::new();
+        let r = schema.relation("r", 2);
+        let mut bounds = Bounds::new(&schema, 32);
+        let edges = if ring { k } else { k - 1 };
+        bounds.bound_upper(r, TupleSet::from_pairs((0..edges).map(|i| edge(i, k))));
+        let mut tr = IncrementalTranslator::new(&schema, &bounds, strategy);
+        let before = tr.matrix_cells();
+        let closed = tr.inner.expr(&rel(r).closure()).unwrap();
+        let cells = tr.matrix_cells() - before;
+        (tr, closed, cells)
+    }
+
+    /// The closure is exact when sized by the support: cutting any one
+    /// edge of a chain or ring over `k` atoms (in a 32-atom universe)
+    /// breaks exactly the pairs whose forward path crosses it, including
+    /// the `k`-edge cycles of a ring.
+    #[test]
+    fn support_sized_closure_is_exact() {
+        for strategy in [
+            ClosureStrategy::IterativeSquaring,
+            ClosureStrategy::Unrolled,
+        ] {
+            for k in [2usize, 3, 4, 5, 8, 9, 17] {
+                for ring in [false, true] {
+                    let (tr, closed, _) = close_chain_or_ring(k, ring, strategy);
+                    let c = tr.circuit();
+                    let edges = if ring { k } else { k - 1 };
+                    // `cut == edges` cuts nothing.
+                    for cut in 0..=edges {
+                        let mut inputs = vec![true; c.num_inputs()];
+                        if cut < edges {
+                            let (x, y) = edge(cut, k);
+                            inputs[tr.rel_inputs()[0][&Tuple::new(vec![x, y])] as usize] = false;
+                        }
+                        for i in 0..k {
+                            for j in 0..k {
+                                // Forward path i → j: edges i, i+1, … (mod k).
+                                let len = match (ring, j > i) {
+                                    (_, true) => j - i,
+                                    (true, false) => j + k - i,
+                                    (false, false) => 0,
+                                };
+                                let crosses = (0..len).any(|step| (i + step) % k == cut);
+                                let t = Tuple::new(vec![5 + i as Atom, 5 + j as Atom]);
+                                let got = c.eval(closed.get(c, &t), &inputs);
+                                assert_eq!(
+                                    got,
+                                    len > 0 && !crosses,
+                                    "{strategy:?} k={k} ring={ring} cut={cut} ({i},{j})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Closing a chain over `k` atoms of a 32-atom universe takes
+    /// `⌈log₂ k⌉` squarings, not `⌈log₂ 32⌉`. Squaring `s` (from 0)
+    /// materializes its join (pairs `2..=reach` apart) and its union
+    /// (`1..=reach` apart), `reach = min(2^(s+1), k-1)`; any extra
+    /// squaring would add cells.
+    #[test]
+    fn closure_squarings_follow_support_not_universe() {
+        for k in [2usize, 3, 4, 5, 8, 9, 17] {
+            let (_, _, cells) = close_chain_or_ring(k, false, ClosureStrategy::IterativeSquaring);
+            let pairs_apart = |lo: usize, hi: usize| (lo..=hi).map(|d| k - d).sum::<usize>();
+            let squarings = k.next_power_of_two().trailing_zeros();
+            let want: usize = (0..squarings)
+                .map(|s| {
+                    let reach = (2usize << s).min(k - 1);
+                    pairs_apart(2, reach) + pairs_apart(1, reach)
+                })
+                .sum();
+            assert_eq!(cells, want as u64, "k={k}");
+        }
     }
 
     #[test]

@@ -83,10 +83,12 @@ fn build_formula(c: &Ctx, spec: FormulaSpec) -> Formula {
     }
 }
 
-/// Exhaustively enumerates all instances over a tiny universe and checks
-/// whether any satisfies the formula.
-fn brute_force_sat(c: &Ctx, n: usize, formula: &Formula) -> bool {
-    let pair_count = n * n;
+/// Exhaustively enumerates all instances over a tiny universe of `n`
+/// atoms, with `r` drawn from pairs over `block`, and checks whether any
+/// satisfies the formula.
+fn brute_force_sat(c: &Ctx, n: usize, block: &[u32], formula: &Formula) -> bool {
+    let b = block.len();
+    let pair_count = b * b;
     assert!(pair_count <= 9, "keep brute force tiny");
     for r_bits in 0u32..(1 << pair_count) {
         for s_bits in 0u32..(1 << n) {
@@ -94,7 +96,7 @@ fn brute_force_sat(c: &Ctx, n: usize, formula: &Formula) -> bool {
             let mut pairs = Vec::new();
             for i in 0..pair_count {
                 if (r_bits >> i) & 1 == 1 {
-                    pairs.push(((i / n) as u32, (i % n) as u32));
+                    pairs.push((block[i / b], block[i % b]));
                 }
             }
             inst.set(c.r, TupleSet::from_pairs(pairs));
@@ -109,41 +111,57 @@ fn brute_force_sat(c: &Ctx, n: usize, formula: &Formula) -> bool {
 }
 
 /// SAT-pipeline verdict == brute-force verdict; SAT models satisfy the
-/// formula under the ground evaluator.
+/// formula under the ground evaluator. Each formula is checked with `r`
+/// spanning a 3-atom universe, and with `r` bounded to a 3-atom block of
+/// a 5-atom universe, where closure is sized by the block rather than by
+/// the universe.
 #[test]
 fn finder_matches_brute_force() {
     testkit::forall("finder_matches_brute_force", 64, |rng| {
         let spec = gen_spec(rng);
         let c = ctx();
-        let n = 3;
         let formula = build_formula(&c, spec);
-        let problem = Problem {
-            schema: c.schema.clone(),
-            bounds: Bounds::new(&c.schema, n),
-            formula: formula.clone(),
-        };
-        let expected = brute_force_sat(&c, n, &formula);
-        for strategy in [
-            ClosureStrategy::IterativeSquaring,
-            ClosureStrategy::Unrolled,
-        ] {
-            let opts = Options {
-                closure: strategy,
-                ..Options::default()
+        let offset = rng.below(3) as u32;
+        for (n, block) in [(3, [0, 1, 2]), (5, [offset, offset + 1, offset + 2])] {
+            let mut bounds = Bounds::new(&c.schema, n);
+            let pairs = block
+                .iter()
+                .flat_map(|&x| block.iter().map(move |&y| (x, y)));
+            bounds.bound_upper(c.r, TupleSet::from_pairs(pairs));
+            let problem = Problem {
+                schema: c.schema.clone(),
+                bounds,
+                formula: formula.clone(),
             };
-            let (verdict, _) = ModelFinder::new(opts).solve(&problem).unwrap();
-            match verdict {
-                modelfinder::Verdict::Sat(inst) => {
-                    assert!(expected, "finder SAT, brute force UNSAT ({strategy:?})");
-                    assert!(
-                        eval_formula(&c.schema, &inst, &formula).unwrap(),
-                        "decoded instance does not satisfy formula ({strategy:?})"
-                    );
+            let expected = brute_force_sat(&c, n, &block, &formula);
+            for strategy in [
+                ClosureStrategy::IterativeSquaring,
+                ClosureStrategy::Unrolled,
+            ] {
+                let opts = Options {
+                    closure: strategy,
+                    ..Options::default()
+                };
+                let (verdict, _) = ModelFinder::new(opts).solve(&problem).unwrap();
+                match verdict {
+                    modelfinder::Verdict::Sat(inst) => {
+                        assert!(
+                            expected,
+                            "finder SAT, brute force UNSAT ({strategy:?}, n={n})"
+                        );
+                        assert!(
+                            eval_formula(&c.schema, &inst, &formula).unwrap(),
+                            "decoded instance does not satisfy formula ({strategy:?}, n={n})"
+                        );
+                    }
+                    modelfinder::Verdict::Unsat => {
+                        assert!(
+                            !expected,
+                            "finder UNSAT, brute force SAT ({strategy:?}, n={n})"
+                        );
+                    }
+                    modelfinder::Verdict::Unknown => panic!("no budget set"),
                 }
-                modelfinder::Verdict::Unsat => {
-                    assert!(!expected, "finder UNSAT, brute force SAT ({strategy:?})");
-                }
-                modelfinder::Verdict::Unknown => panic!("no budget set"),
             }
         }
     });

@@ -12,6 +12,11 @@ cargo build --workspace --release --offline
 echo "== cargo test --workspace -q --offline =="
 cargo test --workspace -q --offline
 
+# perfbench is its own Cargo workspace (path deps on crates/), so
+# --workspace above never reaches its unit tests.
+echo "== cargo test --release --manifest-path perfbench/Cargo.toml =="
+cargo test --release -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
