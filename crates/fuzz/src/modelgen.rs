@@ -7,9 +7,9 @@
 //! under *both* models, and under each model by three engines —
 //! exhaustive execution enumeration, a scratch
 //! [`modelfinder::ModelFinder`] on
-//! [`litmus::sat::scratch_problem_model`], and a pooled incremental
-//! [`litmus::sat::SatSession`] keyed by `(model, signature)` with every
-//! `Unsat` DRAT-certified.
+//! [`litmus::sat::scratch_problem_model`] (a fresh one-query session),
+//! and a pooled, reused [`litmus::sat::SatSession`] keyed by
+//! `(model, signature)` with every `Unsat` DRAT-certified.
 //!
 //! The failure condition is *per-model* engine disagreement (or a
 //! rejected certificate): all three engines implement the same model,

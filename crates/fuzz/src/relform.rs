@@ -7,12 +7,18 @@
 //! evaluated on each with [`relational::eval_formula`]. That ground truth
 //! is compared against:
 //!
-//! * a scratch [`modelfinder::ModelFinder`] run with proof logging —
-//!   `Sat` witnesses are re-evaluated, `Unsat` proofs certified;
-//! * an incremental [`modelfinder::Session`] answering the formula and
-//!   then its negation, with the session's append-only proof absorbed by
-//!   one [`modelfinder::drat::Checker`] across both queries and each
-//!   `Unsat` core certified.
+//! * a scratch [`modelfinder::ModelFinder`] run with proof logging — a
+//!   fresh session whose base is the formula, answering the one query
+//!   `true` — with `Sat` witnesses re-evaluated and `Unsat` proofs
+//!   certified;
+//! * a reused [`modelfinder::Session`] over an empty base answering the
+//!   formula and then its negation, with the session's append-only proof
+//!   absorbed by one [`modelfinder::drat::Checker`] across both queries
+//!   and each `Unsat` core certified.
+//!
+//! The two finder paths share one pipeline, so what they differentially
+//! test is fresh-session versus reused-session state: activation
+//! literals, retired queries, and learnt clauses carried across queries.
 //!
 //! Formulas draw from the full AST: the boolean connectives, every
 //! multiplicity, subset/equality, the expression algebra including
@@ -229,8 +235,8 @@ fn bounds(schema: &Schema, r: RelId, s: RelId, n: usize) -> Bounds {
     b
 }
 
-/// Runs one case through the scratch finder and an incremental session
-/// (formula, then its negation), checking every verdict against the
+/// Runs one case through the scratch finder (a fresh one-query session)
+/// and a reused session (formula, then its negation), checking every verdict against the
 /// ground enumeration and certifying every proof.
 pub fn check(case: &RelCase) -> Result<RoundStats, String> {
     let (any_true, any_false) = oracle(case)?;

@@ -310,16 +310,7 @@ fn main() -> ExitCode {
             eprintln!("{timeouts} test(s) timed out (reported as Unknown)");
         }
         if stats_wanted {
-            let snap = reg.snapshot();
-            if let Some(path) = &cli.stats_json {
-                if let Err(e) = std::fs::write(path, snap.to_jsonl()) {
-                    eprintln!("ptxherd: cannot write {path}: {e}");
-                    failures += 1;
-                }
-            }
-            if cli.stats {
-                print!("{}", snap.render_table());
-            }
+            failures += emit_stats(&cli, &reg.snapshot());
         }
         if let Some(path) = &cli.trace_out {
             if let Err(e) = std::fs::write(path, tracer.snapshot().to_chrome_json()) {
@@ -432,29 +423,8 @@ fn run_server_mode(addr: &str, cli: &Cli) -> ExitCode {
     }
 
     if cli.stats || cli.stats_json.is_some() {
-        match client.stats() {
-            Ok(counters) => {
-                if let Some(path) = &cli.stats_json {
-                    // The server reports live counters as a flat map;
-                    // re-emit them in the obs JSON Lines schema so the
-                    // file matches local --stats-json output.
-                    let mut out = String::new();
-                    for (name, value) in &counters {
-                        out.push_str("{\"kind\":\"counter\",\"name\":");
-                        modelfinder::obs::json::escape_into(&mut out, name);
-                        out.push_str(&format!(",\"value\":{value}}}\n"));
-                    }
-                    if let Err(e) = std::fs::write(path, out) {
-                        eprintln!("ptxherd: cannot write {path}: {e}");
-                        failures += 1;
-                    }
-                }
-                if cli.stats {
-                    for (name, value) in &counters {
-                        println!("{name:<44} {value:>12}");
-                    }
-                }
-            }
+        match client.stats_v2() {
+            Ok(snap) => failures += emit_stats(cli, &snap),
             Err(e) => {
                 eprintln!("ptxherd: stats query failed: {e}");
                 failures += 1;
@@ -608,6 +578,24 @@ fn run_litmus_bench(path: &str) -> Result<(), String> {
     reg.merge_prefixed(&scratch_obs, "litmus.scratch.");
     reg.merge_prefixed(&session_obs, "litmus.sessions.");
     std::fs::write(path, reg.snapshot().to_jsonl()).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// Writes `snap` as `--stats-json` JSON Lines and prints it for
+/// `--stats`; returns the number of failed writes.
+fn emit_stats(cli: &Cli, snap: &modelfinder::obs::Snapshot) -> usize {
+    if cli.stats {
+        print!("{}", snap.render_table());
+    }
+    let Some(path) = &cli.stats_json else {
+        return 0;
+    };
+    match std::fs::write(path, snap.to_jsonl()) {
+        Ok(()) => 0,
+        Err(e) => {
+            eprintln!("ptxherd: cannot write {path}: {e}");
+            1
+        }
+    }
 }
 
 /// Maps a litmus result onto a harness record payload.

@@ -8,7 +8,6 @@
 //! `ptxherd --server` and the server's own integration tests share one
 //! implementation.
 
-use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 
@@ -44,8 +43,6 @@ pub struct Reply {
     pub kind: Option<String>,
     /// Error message when `ok` is false.
     pub error: Option<String>,
-    /// Counters, for `stats` replies.
-    pub counters: BTreeMap<String, u64>,
     /// Full nested snapshot (counters, gauges, histograms, timings),
     /// for `stats` v2 replies and `watch` baselines.
     pub snapshot: Option<Snapshot>,
@@ -63,7 +60,7 @@ impl Reply {
     /// reply JSON (a protocol failure, not a server-reported error).
     pub fn from_json(line: &str) -> Option<Reply> {
         let v = json::parse(line)?;
-        let mut reply = Reply {
+        Some(Reply {
             id: v.get("id").and_then(json::Value::as_u64),
             ok: v.get("ok").and_then(json::Value::as_bool)?,
             name: v
@@ -104,7 +101,6 @@ impl Reply {
                 .get("error")
                 .and_then(json::Value::as_str)
                 .map(String::from),
-            counters: BTreeMap::new(),
             snapshot: v.get("snapshot").and_then(Snapshot::from_json_value),
             delta: v.get("delta").and_then(Snapshot::from_json_value),
             tick: v.get("tick").and_then(json::Value::as_u64),
@@ -112,15 +108,7 @@ impl Reply {
                 .get("records")
                 .and_then(json::Value::as_arr)
                 .map(<[json::Value]>::to_vec),
-        };
-        if let Some(json::Value::Obj(pairs)) = v.get("counters") {
-            for (k, val) in pairs {
-                if let Some(n) = val.as_u64() {
-                    reply.counters.insert(k.clone(), n);
-                }
-            }
-        }
-        Some(reply)
+        })
     }
 
     /// Renders the reply as a `ptxherd --json`-style record line.
@@ -240,15 +228,8 @@ impl ServerClient {
         self.recv()
     }
 
-    /// Fetches the server's counter snapshot (`stats` v1: a flat
-    /// counter map, kept for old clients).
-    pub fn stats(&mut self) -> io::Result<BTreeMap<String, u64>> {
-        self.send_line("{\"id\":0,\"op\":\"stats\"}")?;
-        Ok(self.recv()?.counters)
-    }
-
-    /// Fetches the server's full telemetry snapshot (`stats` v2:
-    /// counters, sampled gauges, histograms, timings).
+    /// Fetches the server's full telemetry snapshot (`stats`, reply
+    /// shape v2: counters, sampled gauges, histograms, timings).
     pub fn stats_v2(&mut self) -> io::Result<Snapshot> {
         self.send_line("{\"id\":0,\"op\":\"stats\",\"v\":2}")?;
         let reply = self.recv()?;
@@ -315,11 +296,6 @@ mod tests {
         assert!(!err.ok);
         assert_eq!(err.kind.as_deref(), Some("shed"));
         assert_eq!(err.error.as_deref(), Some("queue full"));
-
-        let stats =
-            Reply::from_json("{\"id\":0,\"ok\":true,\"counters\":{\"ptxd.requests\":7}}").unwrap();
-        assert_eq!(stats.counters.get("ptxd.requests"), Some(&7));
-        assert!(stats.snapshot.is_none());
 
         assert!(Reply::from_json("not json").is_none());
         assert!(Reply::from_json("{\"id\":1}").is_none(), "ok is mandatory");

@@ -15,213 +15,16 @@
 //! traces — the regression-hunting mode: capture a trace before and
 //! after a change and see which phase moved.
 //!
-//! The parser accepts the subset of JSON these exporters emit (and any
-//! standard trace-event array); a malformed file is an error and a
-//! nonzero exit, which is what the CI smoke check relies on.
+//! Files are read with the workspace's JSON parser, [`obs::json::parse`],
+//! so any standard trace-event array loads; a malformed file is an error
+//! and a nonzero exit, which is what the CI smoke check relies on.
 
 use std::collections::BTreeMap;
 use std::fmt::Write;
 use std::io;
 use std::process::ExitCode;
 
-/// A parsed JSON value — just enough of the data model for trace files.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// Recursive-descent JSON parser over the whole file.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn error(&self, what: &str) -> String {
-        format!("byte {}: {what}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn parse_document(&mut self) -> Result<Value, String> {
-        let v = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.error("trailing content after JSON document"));
-        }
-        Ok(v)
-    }
-
-    fn parse_value(&mut self) -> Result<Value, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(Value::Str(self.parse_string()?)),
-            Some(b't') => self.parse_literal("true", Value::Bool(true)),
-            Some(b'f') => self.parse_literal("false", Value::Bool(false)),
-            Some(b'n') => self.parse_literal("null", Value::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            _ => Err(self.error("expected a JSON value")),
-        }
-    }
-
-    fn parse_literal(&mut self, lit: &str, value: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(self.error(&format!("expected `{lit}`")))
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(self.error("expected `,` or `}` in object")),
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.error("expected `,` or `]` in array")),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        if self.peek() != Some(b'"') {
-            return Err(self.error("expected a string"));
-        }
-        let start = self.pos;
-        self.pos += 1;
-        // Scan to the closing quote, honoring backslash escapes, then
-        // hand the full literal to the workspace's JSON string decoder.
-        loop {
-            match self.peek() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'\\') => self.pos += 2,
-                Some(b'"') => {
-                    self.pos += 1;
-                    break;
-                }
-                Some(_) => self.pos += 1,
-            }
-        }
-        let literal = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid UTF-8 in string"))?;
-        obs::json::unescape(literal).ok_or_else(|| self.error("malformed string escape"))
-    }
-
-    fn parse_number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || b == b'.' || b == b'e' || b == b'E' || b == b'+' || b == b'-' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| self.error(&format!("bad number `{text}`")))
-    }
-}
+use obs::json::{self, Value};
 
 /// One span/instant/counter event lifted out of the parsed array.
 struct Event {
@@ -246,9 +49,7 @@ struct Summary {
 /// Loads a trace file: parse, validate shape, lift events.
 fn load(path: &str) -> Result<Vec<Event>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let doc = Parser::new(&text)
-        .parse_document()
-        .map_err(|e| format!("{path}: malformed JSON: {e}"))?;
+    let doc = json::parse(&text).ok_or_else(|| format!("{path}: malformed JSON"))?;
     let Value::Arr(items) = doc else {
         return Err(format!("{path}: expected a top-level trace-event array"));
     };
@@ -266,10 +67,10 @@ fn load(path: &str) -> Result<Vec<Event>, String> {
         if ph == 'M' {
             continue; // metadata (thread names)
         }
-        let tid = item.get("tid").and_then(Value::as_num).unwrap_or(0.0) as u64;
+        let tid = item.get("tid").and_then(Value::as_f64).unwrap_or(0.0) as u64;
         let ts_us = item
             .get("ts")
-            .and_then(Value::as_num)
+            .and_then(Value::as_f64)
             .ok_or_else(|| format!("{path}: event {i}: missing \"ts\""))?;
         events.push(Event {
             ph,
@@ -510,40 +311,6 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn parse(text: &str) -> Result<Value, String> {
-        Parser::new(text).parse_document()
-    }
-
-    #[test]
-    fn parses_scalars_and_nesting() {
-        assert_eq!(parse("null").unwrap(), Value::Null);
-        assert_eq!(parse(" true ").unwrap(), Value::Bool(true));
-        assert_eq!(parse("-1.5e2").unwrap(), Value::Num(-150.0));
-        assert_eq!(parse("\"a\\nb\"").unwrap(), Value::Str("a\nb".to_string()));
-        let doc = parse("{\"a\":[1,{\"b\":[]}],\"c\":{}}").unwrap();
-        assert_eq!(
-            doc.get("a").and_then(|v| match v {
-                Value::Arr(items) => items.first().and_then(Value::as_num),
-                _ => Option::None,
-            }),
-            Some(1.0)
-        );
-    }
-
-    #[test]
-    fn rejects_malformed() {
-        for bad in [
-            "",
-            "[1,",
-            "{\"a\":}",
-            "[1] trailing",
-            "\"unterminated",
-            "nul",
-        ] {
-            assert!(parse(bad).is_err(), "should reject {bad:?}");
-        }
-    }
 
     #[test]
     fn self_time_subtracts_children() {

@@ -67,14 +67,11 @@ pub enum Request {
         /// Client-chosen reply-matching id.
         id: Option<u64>,
     },
-    /// Telemetry snapshot. `v: 1` (the default, for old clients) is a
-    /// flat counter map; `v: 2` is the full [`obs::Snapshot`] object
-    /// with gauges, histograms, and timings.
+    /// Telemetry snapshot: the full [`obs::Snapshot`] object with
+    /// counters, gauges, histograms, and timings (reply shape `v: 2`).
     Stats {
         /// Client-chosen reply-matching id.
         id: Option<u64>,
-        /// Requested reply shape (1 or 2).
-        v: u64,
     },
     /// Stream telemetry: one tick-0 baseline snapshot, then a snapshot
     /// delta every interval on the same connection.
@@ -179,15 +176,9 @@ pub fn parse_request(line: &str) -> Result<Request, (Option<u64>, ProtoError)> {
             Ok(Request::Sleep { id, ms })
         }
         "ping" => Ok(Request::Ping { id }),
-        "stats" => match v.get("v") {
-            None => Ok(Request::Stats { id, v: 1 }),
-            Some(val) => match val.as_u64() {
-                Some(v @ (1 | 2)) => Ok(Request::Stats { id, v }),
-                _ => Err((
-                    id,
-                    ProtoError::proto("stats: field `v` must be 1 or 2".to_string()),
-                )),
-            },
+        "stats" => match v.get("v").map(json::Value::as_u64) {
+            None | Some(Some(2)) => Ok(Request::Stats { id }),
+            Some(_) => Err((id, ProtoError::proto("stats: field `v` must be 2"))),
         },
         "watch" => {
             let interval_ms = match v.get("interval_ms") {
@@ -355,22 +346,6 @@ pub fn pong_reply(id: Option<u64>) -> String {
     out
 }
 
-/// A `stats` reply carrying a counters object.
-pub fn stats_reply(id: Option<u64>, counters: &std::collections::BTreeMap<String, u64>) -> String {
-    let mut out = String::new();
-    push_id(&mut out, id);
-    out.push_str(",\"ok\":true,\"counters\":{");
-    for (i, (k, n)) in counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::escape_into(&mut out, k);
-        out.push_str(&format!(":{n}"));
-    }
-    out.push_str("}}");
-    out
-}
-
 /// A `stats` v2 reply embedding the full snapshot object
 /// ([`obs::Snapshot::to_json_object`] shape under `snapshot`).
 pub fn stats_v2_reply(id: Option<u64>, snapshot: &obs::Snapshot) -> String {
@@ -495,25 +470,23 @@ mod tests {
         let decoded = litmus::Reply::from_json(&err).unwrap();
         assert!(!decoded.ok);
         assert_eq!(decoded.kind.as_deref(), Some("shed"));
-
-        let mut counters = std::collections::BTreeMap::new();
-        counters.insert("ptxd.requests".to_string(), 12u64);
-        let decoded = litmus::Reply::from_json(&stats_reply(Some(1), &counters)).unwrap();
-        assert_eq!(decoded.counters.get("ptxd.requests"), Some(&12));
     }
 
     #[test]
     fn telemetry_ops_decode_and_reject_bad_fields() {
         assert!(matches!(
             parse_request("{\"id\":1,\"op\":\"stats\"}"),
-            Ok(Request::Stats { id: Some(1), v: 1 }),
+            Ok(Request::Stats { id: Some(1) }),
         ));
         assert!(matches!(
             parse_request("{\"op\":\"stats\",\"v\":2}"),
-            Ok(Request::Stats { id: None, v: 2 }),
+            Ok(Request::Stats { id: None }),
         ));
-        let (_, err) = parse_request("{\"op\":\"stats\",\"v\":3}").unwrap_err();
-        assert_eq!(err.kind, "proto");
+        for bad in ["1", "3", "\"2\""] {
+            let line = format!("{{\"op\":\"stats\",\"v\":{bad}}}");
+            let (_, err) = parse_request(&line).unwrap_err();
+            assert_eq!(err.kind, "proto", "v={bad}");
+        }
 
         match parse_request("{\"id\":2,\"op\":\"watch\",\"interval_ms\":250,\"count\":4}") {
             Ok(Request::Watch {

@@ -18,8 +18,7 @@
 //! submitted (aborting in-flight solves at the next solver checkpoint)
 //! and purges its queued jobs.
 
-use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
@@ -45,6 +44,10 @@ const AUTOPSY_EVENTS: usize = 64;
 const MIN_WATCH_INTERVAL_MS: u64 = 20;
 /// `watch` interval clamp, upper bound.
 const MAX_WATCH_INTERVAL_MS: u64 = 60_000;
+/// Longest request line accepted, newline included. A longer line gets
+/// a `proto` error and the connection is closed, so a client that never
+/// sends a newline cannot grow server memory without limit.
+const MAX_LINE: u64 = 1 << 20;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -170,21 +173,8 @@ impl Shared {
         let _ = TcpStream::connect(self.local_addr);
     }
 
-    /// Counters for the `stats` op: the registry's counters plus live
-    /// gauges (pool, cache, queue) sampled now.
-    fn live_counters(&self) -> BTreeMap<String, u64> {
-        let mut counters = self.obs.snapshot().counters;
-        let (created, reused) = self.pool.stats();
-        counters.insert("ptxd.pool.created".to_string(), created);
-        counters.insert("ptxd.pool.reused".to_string(), reused);
-        counters.insert("ptxd.pool.idle".to_string(), self.pool.idle_count() as u64);
-        counters.insert("ptxd.cache.entries".to_string(), self.cache.len() as u64);
-        counters.insert("ptxd.queue.depth".to_string(), self.sched.queued() as u64);
-        counters
-    }
-
     /// Samples the live gauges into the registry — called at every
-    /// `stats` v2 reply, every `watch` tick, and at drain, so gauge
+    /// `stats` reply, every `watch` tick, and at drain, so gauge
     /// values in a snapshot are at most one sampling event old.
     fn sample_gauges(&self) {
         self.obs
@@ -199,7 +189,7 @@ impl Shared {
             .set_gauge("ptxd.gauge.uptime_ms", whole_ms(self.started.elapsed()));
     }
 
-    /// The `stats` v2 payload: gauges sampled now, then a snapshot.
+    /// The `stats` payload: gauges sampled now, then a snapshot.
     fn snapshot_sampled(&self) -> obs::Snapshot {
         self.sample_gauges();
         self.obs.snapshot()
@@ -429,8 +419,17 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) {
     let mut line = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match (&mut reader).take(MAX_LINE + 1).read_line(&mut line) {
             Ok(0) | Err(_) => break,
+            Ok(n) if n as u64 > MAX_LINE => {
+                shared.obs.add("ptxd.errors", 1);
+                writer.send(&proto::error_reply(
+                    None,
+                    "proto",
+                    &format!("request line longer than {MAX_LINE} bytes"),
+                ));
+                break;
+            }
             Ok(_) => {}
         }
         let trimmed = line.trim();
@@ -445,12 +444,8 @@ fn serve_conn(shared: &Arc<Shared>, stream: TcpStream) {
             Ok(Request::Ping { id }) => {
                 writer.send(&proto::pong_reply(id));
             }
-            Ok(Request::Stats { id, v }) => {
-                if v >= 2 {
-                    writer.send(&proto::stats_v2_reply(id, &shared.snapshot_sampled()));
-                } else {
-                    writer.send(&proto::stats_reply(id, &shared.live_counters()));
-                }
+            Ok(Request::Stats { id }) => {
+                writer.send(&proto::stats_v2_reply(id, &shared.snapshot_sampled()));
             }
             Ok(Request::Watch {
                 id,

@@ -4,11 +4,11 @@
 
 #![allow(dead_code)] // each test binary uses a subset
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use litmus::ServerClient;
+use modelfinder::obs::Snapshot;
 use ptxd::{Config, Handle, Server};
 
 /// Repo-root `litmus/` directory (tests run with the crate as cwd).
@@ -82,12 +82,17 @@ pub fn expected() -> Vec<Expected> {
         .collect()
 }
 
-/// Polls the server's `stats` op until `counter >= want` or the timeout
-/// lapses; returns the last observed value.
-pub fn poll_counter(client: &mut ServerClient, counter: &str, want: u64, timeout: Duration) -> u64 {
+/// Polls the server's `stats` op until `read(snapshot) >= want` or the
+/// timeout lapses; returns the last observed value.
+pub fn poll(
+    client: &mut ServerClient,
+    want: u64,
+    timeout: Duration,
+    read: impl Fn(&Snapshot) -> u64,
+) -> u64 {
     let deadline = Instant::now() + timeout;
     loop {
-        let last = *stats(client).get(counter).unwrap_or(&0);
+        let last = read(&client.stats_v2().expect("stats round trip"));
         if last >= want || Instant::now() >= deadline {
             return last;
         }
@@ -95,7 +100,7 @@ pub fn poll_counter(client: &mut ServerClient, counter: &str, want: u64, timeout
     }
 }
 
-/// One `stats` round trip.
-pub fn stats(client: &mut ServerClient) -> BTreeMap<String, u64> {
-    client.stats().expect("stats round trip")
+/// [`poll`] on one counter.
+pub fn poll_counter(client: &mut ServerClient, counter: &str, want: u64, timeout: Duration) -> u64 {
+    poll(client, want, timeout, |snap| snap.counter(counter))
 }

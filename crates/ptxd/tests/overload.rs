@@ -85,14 +85,12 @@ fn queue_bound_sheds_exactly_the_excess() {
     // last EXCESS submissions.
     assert_eq!(shed, vec![14, 15, 16]);
     assert_eq!(answered.len(), BOUND);
-    let stats = common::stats(&mut control);
-    assert_eq!(stats["ptxd.shed"], EXCESS as u64);
-    assert_eq!(stats["ptxd.shed.queue"], EXCESS as u64);
-    assert_eq!(stats["ptxd.completed"], (BOUND + 1) as u64);
-    // The v2 snapshot agrees with the client's own observations exactly:
+    // The snapshot agrees with the client's own observations exactly:
     // as many shed counts as shed replies, every shed run also logged.
-    let settled = control.stats_v2().expect("stats v2 settled");
+    let settled = control.stats_v2().expect("stats settled");
     assert_eq!(settled.counter("ptxd.shed"), shed.len() as u64);
+    assert_eq!(settled.counter("ptxd.shed.queue"), EXCESS as u64);
+    assert_eq!(settled.counter("ptxd.completed"), (BOUND + 1) as u64);
     assert_eq!(settled.gauge("ptxd.gauge.queue_depth"), 0, "drained");
     let shed_records = control
         .log_tail(100)

@@ -2,6 +2,8 @@
 
 mod common;
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 use ptxd::Config;
@@ -72,6 +74,35 @@ fn malformed_input_gets_structured_errors() {
     handle.shutdown();
 }
 
+/// A request line over the 1 MiB cap gets a `proto` error and its
+/// connection is closed; the server keeps serving other connections.
+#[test]
+fn overlong_line_is_rejected_and_server_survives() {
+    let handle = common::spawn(Config::default());
+    let stream = TcpStream::connect(handle.addr()).expect("connect flood");
+    let mut flood = stream.try_clone().expect("clone flood stream");
+    // The server stops reading at the cap and closes, so the tail of
+    // the write may fail; only the reply matters.
+    let writer = std::thread::spawn(move || {
+        let _ = flood.write_all(&vec![b'x'; 2 << 20]);
+    });
+    let mut line = String::new();
+    BufReader::new(stream)
+        .read_line(&mut line)
+        .expect("error reply before close");
+    let err = litmus::Reply::from_json(line.trim_end()).expect("reply decodes");
+    assert!(!err.ok);
+    assert_eq!(err.kind.as_deref(), Some("proto"));
+    writer.join().expect("flood writer");
+    assert_eq!(handle.snapshot().counter("ptxd.errors"), 1);
+
+    let mut client = common::connect(&handle);
+    let reply = client.run(1, &mp_source(), None).expect("run after flood");
+    assert!(reply.ok);
+    assert_eq!(reply.verdict.as_deref(), Some("Ok"));
+    handle.shutdown();
+}
+
 /// Killing a client mid-query cancels its in-flight job through the
 /// `CancelToken`, purges its queued backlog, and leaks no session.
 #[test]
@@ -101,7 +132,8 @@ fn disconnect_cancels_inflight_and_purges_backlog() {
             "blocker must be in flight before the disconnect"
         );
         assert_eq!(
-            common::poll_counter(&mut control, "ptxd.queue.depth", 1, Duration::from_secs(5)),
+            common::poll(&mut control, 1, Duration::from_secs(5), |snap| snap
+                .gauge("ptxd.gauge.queue_depth")),
             1,
             "backlog must be queued before the disconnect"
         );
@@ -114,8 +146,12 @@ fn disconnect_cancels_inflight_and_purges_backlog() {
         1,
         "in-flight work must be cancelled on disconnect"
     );
-    let stats = common::stats(&mut control);
-    assert_eq!(stats["ptxd.dropped"], 1, "queued backlog must be purged");
+    let stats = control.stats_v2().expect("stats");
+    assert_eq!(
+        stats.counter("ptxd.dropped"),
+        1,
+        "queued backlog must be purged"
+    );
     assert_eq!(
         handle.pool_stats().0,
         0,

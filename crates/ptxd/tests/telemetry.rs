@@ -11,9 +11,8 @@ fn mp_source() -> String {
     std::fs::read_to_string(common::litmus_dir().join("mp.litmus")).expect("read mp.litmus")
 }
 
-/// `stats` v2 carries the whole snapshot — counters, sampled gauges,
-/// latency histograms, per-model verdict counters — while `stats` v1
-/// keeps its flat counter map for old clients.
+/// `stats` carries the whole snapshot — counters, sampled gauges,
+/// latency histograms, per-model verdict counters.
 #[test]
 fn stats_v2_reports_the_full_surface() {
     let handle = common::spawn(Config {
@@ -56,10 +55,22 @@ fn stats_v2_reports_the_full_surface() {
     assert_eq!(snap.gauge("ptxd.gauge.queue_depth"), 0);
     assert!(snap.gauges.contains_key("ptxd.gauge.uptime_ms"));
 
-    // v1 stays flat (and gauge-free) for old clients.
-    let v1 = common::stats(&mut client);
-    assert_eq!(v1["ptxd.requests"], 2);
-    assert!(!v1.contains_key("ptxd.gauge.queue_depth"));
+    // Without `v` the reply is the same snapshot shape; the retired
+    // flat-counter shape (`v: 1`) is a structured protocol error.
+    client
+        .send_line("{\"id\":3,\"op\":\"stats\"}")
+        .expect("send");
+    let plain = client.recv().expect("plain stats");
+    assert_eq!(
+        plain.snapshot.expect("snapshot").counter("ptxd.requests"),
+        2
+    );
+    client
+        .send_line("{\"id\":4,\"op\":\"stats\",\"v\":1}")
+        .expect("send");
+    let err = client.recv().expect("v1 error reply");
+    assert!(!err.ok);
+    assert_eq!(err.kind.as_deref(), Some("proto"));
     handle.shutdown();
 }
 

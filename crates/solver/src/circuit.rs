@@ -221,17 +221,6 @@ impl Circuit {
         values[g.index()]
     }
 
-    /// Tseitin-encodes the circuit into `solver`, asserting `root` true.
-    ///
-    /// Returns the mapping from input index to SAT variable so the caller
-    /// can decode models. Only the cone of influence of `root` is encoded.
-    pub fn to_solver(&self, root: GateId, solver: &mut Solver) -> HashMap<u32, Var> {
-        let mut encoder = CircuitEncoder::new();
-        let root_lit = encoder.encode(self, root, solver);
-        solver.add_clause(&[root_lit]);
-        encoder.input_vars
-    }
-
     /// Collects the cone of influence of `roots`: a gate-indexed
     /// membership mask.
     fn cone(&self, roots: &[GateId]) -> Vec<bool> {
@@ -278,8 +267,7 @@ impl Circuit {
 /// by an earlier call; thanks to the circuit's structural hashing,
 /// subcircuits shared between queries (relation matrices, closure
 /// squaring chains, axiom bodies) therefore hit the cache and cost
-/// nothing. Unlike [`Circuit::to_solver`], `encode` does **not** assert
-/// the root — the caller decides whether the returned literal becomes a
+/// nothing. `encode` does **not** assert the root — the caller decides whether the returned literal becomes a
 /// permanent unit clause or an activation-guarded implication.
 ///
 /// An encoder is tied to the circuit/solver pair it was first used with;
@@ -484,10 +472,12 @@ mod tests {
         let g = c.or(l, r);
 
         let mut solver = Solver::new();
-        let inputs = c.to_solver(g, &mut solver);
+        let mut enc = CircuitEncoder::new();
+        let root = enc.encode(&c, g, &mut solver);
+        solver.add_clause(&[root]);
         assert_eq!(solver.solve(), SolveResult::Sat);
-        let vx = solver.model_value(inputs[&0]).unwrap();
-        let vy = solver.model_value(inputs[&1]).unwrap();
+        let vx = solver.model_value(enc.input_var(0).unwrap()).unwrap();
+        let vy = solver.model_value(enc.input_var(1).unwrap()).unwrap();
         assert!(vx != vy, "xor model must differ");
         assert!(c.eval(g, &[vx, vy]));
     }
@@ -499,7 +489,8 @@ mod tests {
         let nx = c.not(x);
         let g = c.and(x, nx);
         let mut solver = Solver::new();
-        let _ = c.to_solver(g, &mut solver);
+        let root = CircuitEncoder::new().encode(&c, g, &mut solver);
+        solver.add_clause(&[root]);
         assert_eq!(solver.solve(), SolveResult::Unsat);
     }
 

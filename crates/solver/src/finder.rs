@@ -1,13 +1,17 @@
-//! The model finding driver: translate, solve, decode.
+//! One-shot model finding, plus the option, verdict, and report types
+//! shared with [`crate::Session`].
+//!
+//! A [`ModelFinder`] run is a fresh session whose base is the problem's
+//! formula, answering the one query `true`: the session's
+//! translate/encode/solve/decode pipeline is the only one.
 
 use std::time::{Duration, Instant};
 
 use relational::{Bounds, Formula, Instance, Schema, TypeError};
-use satsolver::{CancelToken, Interrupt, SolveResult, Solver, Var};
+use satsolver::{CancelToken, Interrupt, Solver, Var};
 
-use crate::circuit::CircuitEncoder;
-use crate::symmetry::{break_symmetries, formula_pins_atoms, symmetry_classes};
-use crate::translate::{translate, ClosureStrategy};
+use crate::session::Session;
+use crate::translate::ClosureStrategy;
 
 /// A bounded relational satisfiability problem.
 #[derive(Debug, Clone)]
@@ -139,10 +143,10 @@ pub struct Report {
     /// Clauses in the CNF.
     pub sat_clauses: usize,
     /// Sparse matrix cells materialized during translation (for a
-    /// session query: cells this query added).
+    /// session query: cells this query added; for a scratch run: all).
     pub matrix_cells: u64,
     /// Tseitin defining clauses emitted while encoding (for a session
-    /// query: clauses this query added).
+    /// query: clauses this query added; for a scratch run: all).
     pub tseitin_clauses: u64,
     /// Number of symmetry classes broken.
     pub symmetry_classes: usize,
@@ -151,11 +155,14 @@ pub struct Report {
     /// [`crate::symmetry::formula_pins_atoms`]), so the predicates were
     /// skipped to preserve soundness.
     pub symmetry_downgraded: bool,
-    /// Time spent translating to CNF.
+    /// Time spent translating to CNF (for a scratch run: translation
+    /// plus encoding).
     pub translate_time: Duration,
     /// Time spent in the SAT solver.
     pub solve_time: Duration,
-    /// SAT solver counters.
+    /// SAT solver counters (for a session query: this query's search;
+    /// for a scratch run: cumulative, so the level-0 propagations made
+    /// while adding unit clauses count too).
     pub solver_stats: satsolver::SolverStats,
     /// Gates found already encoded by an earlier query on the same
     /// incremental session (0 for a scratch run).
@@ -248,210 +255,36 @@ impl ModelFinder {
 
     /// Solves the problem, returning the verdict and a run report.
     ///
+    /// A scratch run is a fresh [`Session`] over `problem.formula`
+    /// answering the one query `true`: the solver sees exactly the
+    /// base CNF, with no activation literal. The report's translation
+    /// and solver counters are the session's totals.
+    ///
     /// # Errors
     ///
     /// Returns a [`TypeError`] if the formula violates arity discipline.
     pub fn solve(&self, problem: &Problem) -> Result<(Verdict, Report), TypeError> {
         let t0 = Instant::now();
-        let deadline = self.options.deadline.map(|d| t0 + d);
-        let trace = &self.options.tracer;
-        let translate_span = trace.span("translate");
-        let mut translation = translate(
+        let mut session = Session::new(
             &problem.schema,
             &problem.bounds,
             &problem.formula,
-            self.options.closure,
+            self.options.clone(),
         )?;
-        let mut root = translation.root;
-        let mut report = Report::default();
-        if self.options.symmetry_breaking {
-            if formula_pins_atoms(&problem.formula) {
-                // Bounds-only symmetry breaking is unsound for formulas
-                // that pin atoms by identity: downgrade to a plain search
-                // rather than risk a wrong Unsat.
-                report.symmetry_downgraded = true;
-                warn_symmetry_downgrade();
-            } else {
-                let classes = symmetry_classes(&problem.schema, &problem.bounds);
-                report.symmetry_classes = classes.len();
-                let sym = break_symmetries(
-                    &problem.schema,
-                    &problem.bounds,
-                    &mut translation.circuit,
-                    &translation.rel_inputs,
-                    &classes,
-                );
-                root = translation.circuit.and(root, sym);
-            }
-        }
-        drop(translate_span);
-        let mut solver = Solver::new();
-        if self.options.proof_logging {
-            solver.enable_proof_logging();
-        }
-        solver.set_conflict_budget(self.options.conflict_budget);
-        solver.set_propagation_budget(self.options.propagation_budget);
-        solver.set_deadline(deadline);
-        solver.set_cancel_token(self.options.cancel.clone());
-        solver.set_tracer(trace);
-        if let Some(interval) = self.options.reduce_interval {
-            solver.set_reduce_interval(interval);
-        }
-        let encode_span = trace.span("encode");
-        let mut encoder = CircuitEncoder::new();
-        let root_lit = encoder.encode(&translation.circuit, root, &mut solver);
-        solver.add_clause(&[root_lit]);
-        drop(encode_span);
-        let input_vars = encoder.input_vars();
-        report.gates = translation.circuit.num_gates();
-        report.inputs = translation.circuit.num_inputs();
-        report.sat_vars = solver.num_vars();
-        report.sat_clauses = solver.num_clauses();
-        report.matrix_cells = translation.matrix_cells;
-        report.tseitin_clauses = encoder.tseitin_clauses();
-        report.translate_time = t0.elapsed();
-
-        // The deadline covers translation too; if it already passed (or
-        // the caller cancelled during translation), skip the search but
-        // still return an accurate report of the work done so far.
-        let expired = deadline.is_some_and(|d| Instant::now() >= d);
-        let cancelled = self
-            .options
-            .cancel
-            .as_ref()
-            .is_some_and(CancelToken::is_cancelled);
-        if expired || cancelled {
-            report.interrupted = Some(if cancelled {
-                Interrupt::Cancelled
-            } else {
-                Interrupt::Deadline
-            });
-            report.proof = solver.take_proof();
-            return Ok((Verdict::Unknown, report));
-        }
-
-        let t1 = Instant::now();
-        let solve_span = trace.span("solve");
-        let result = solver.solve();
-        drop(solve_span);
-        report.solve_time = t1.elapsed();
-        report.solver_stats = solver.stats();
-
-        let verdict = match result {
-            SolveResult::Unsat => Verdict::Unsat,
-            SolveResult::Unknown(reason) => {
-                report.interrupted = Some(reason);
-                Verdict::Unknown
-            }
-            SolveResult::Sat => Verdict::Sat(decode(
-                &problem.schema,
-                &problem.bounds,
-                &translation.rel_inputs,
-                input_vars,
-                &solver,
-            )),
-        };
-        report.proof = solver.take_proof();
+        // The deadline covers translation too: the query gets what is left.
+        session.set_deadline(
+            self.options
+                .deadline
+                .map(|d| d.saturating_sub(t0.elapsed())),
+        );
+        let (verdict, mut report) = session.solve(&Formula::True)?;
+        let stats = session.stats();
+        report.matrix_cells = stats.matrix_cells;
+        report.tseitin_clauses = stats.tseitin_clauses;
+        report.translate_time = stats.translate_time + stats.encode_time;
+        report.solver_stats = session.solver_stats();
+        report.proof = session.take_proof();
         Ok((verdict, report))
-    }
-
-    /// Enumerates satisfying instances, invoking `visit` for each, up to
-    /// `limit`. Returns the number of instances found.
-    ///
-    /// Symmetry breaking is forcibly disabled so the enumeration is
-    /// complete.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TypeError`] if the formula violates arity discipline.
-    pub fn enumerate<F: FnMut(&Instance)>(
-        &self,
-        problem: &Problem,
-        limit: usize,
-        mut visit: F,
-    ) -> Result<usize, TypeError> {
-        let translation = translate(
-            &problem.schema,
-            &problem.bounds,
-            &problem.formula,
-            self.options.closure,
-        )?;
-        let mut solver = Solver::new();
-        solver.set_conflict_budget(self.options.conflict_budget);
-        solver.set_propagation_budget(self.options.propagation_budget);
-        solver.set_deadline(self.options.deadline.map(|d| Instant::now() + d));
-        solver.set_cancel_token(self.options.cancel.clone());
-        if let Some(interval) = self.options.reduce_interval {
-            solver.set_reduce_interval(interval);
-        }
-        let input_vars = translation.circuit.to_solver(translation.root, &mut solver);
-        let all_inputs: Vec<Var> = input_vars.values().copied().collect();
-        let mut count = 0;
-        while count < limit && solver.solve() == SolveResult::Sat {
-            let inst = decode(
-                &problem.schema,
-                &problem.bounds,
-                &translation.rel_inputs,
-                &input_vars,
-                &solver,
-            );
-            visit(&inst);
-            count += 1;
-            if all_inputs.is_empty() || !solver.block_model(&all_inputs) {
-                break;
-            }
-        }
-        Ok(count)
-    }
-}
-
-/// The result of an Alloy-style `check`: either the assertion holds
-/// within the bounds, or a counterexample instance is produced.
-#[derive(Debug, Clone)]
-pub enum CheckResult {
-    /// No counterexample exists within the bounds.
-    Valid,
-    /// The assertion fails on this instance.
-    Counterexample(Instance),
-    /// The conflict budget ran out before a verdict.
-    Unknown,
-}
-
-impl CheckResult {
-    /// True iff the assertion held within bounds.
-    pub fn is_valid(&self) -> bool {
-        matches!(self, CheckResult::Valid)
-    }
-}
-
-impl ModelFinder {
-    /// Alloy's `check` idiom: verify that `assumptions ⇒ assertion` holds
-    /// for every instance within the bounds, by searching for an instance
-    /// satisfying `assumptions ∧ ¬assertion`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TypeError`] if either formula violates arity
-    /// discipline.
-    pub fn check(
-        &self,
-        schema: &Schema,
-        bounds: &Bounds,
-        assumptions: &Formula,
-        assertion: &Formula,
-    ) -> Result<(CheckResult, Report), TypeError> {
-        let problem = Problem {
-            schema: schema.clone(),
-            bounds: bounds.clone(),
-            formula: assumptions.and(&assertion.not()),
-        };
-        let (verdict, report) = self.solve(&problem)?;
-        let result = match verdict {
-            Verdict::Unsat => CheckResult::Valid,
-            Verdict::Sat(instance) => CheckResult::Counterexample(instance),
-            Verdict::Unknown => CheckResult::Unknown,
-        };
-        Ok((result, report))
     }
 }
 
@@ -558,26 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn enumeration_matches_hand_count() {
-        // Relations over a 2-atom universe with `one r`: exactly 4 models.
-        let mut schema = Schema::new();
-        let r = schema.relation("r", 2);
-        let bounds = Bounds::new(&schema, 2);
-        let formula = rel(r).one();
-        let problem = Problem {
-            schema,
-            bounds,
-            formula,
-        };
-        let count = ModelFinder::new(Options::default())
-            .enumerate(&problem, 100, |inst| {
-                assert_eq!(inst.get(r).len(), 1);
-            })
-            .unwrap();
-        assert_eq!(count, 4);
-    }
-
-    #[test]
     fn exact_bounds_need_no_search() {
         let mut schema = Schema::new();
         let r = schema.relation("r", 2);
@@ -609,55 +422,6 @@ mod tests {
             };
             let (verdict, _) = ModelFinder::new(opts).solve(&problem).unwrap();
             assert!(verdict.instance().is_some(), "{strategy:?}");
-        }
-    }
-}
-
-#[cfg(test)]
-mod check_tests {
-    use super::*;
-    use relational::patterns;
-    use relational::schema::rel;
-
-    #[test]
-    fn check_valid_assertion() {
-        // Assuming r is acyclic, r is irreflexive — valid at any bound.
-        let mut schema = Schema::new();
-        let r = schema.relation("r", 2);
-        let bounds = Bounds::new(&schema, 3);
-        let finder = ModelFinder::new(Options::check());
-        let (result, _) = finder
-            .check(
-                &schema,
-                &bounds,
-                &patterns::acyclic(&rel(r)),
-                &patterns::irreflexive(&rel(r)),
-            )
-            .unwrap();
-        assert!(result.is_valid());
-    }
-
-    #[test]
-    fn check_invalid_assertion_yields_counterexample() {
-        // Assuming r is irreflexive, r is acyclic — false (2-cycles).
-        let mut schema = Schema::new();
-        let r = schema.relation("r", 2);
-        let bounds = Bounds::new(&schema, 3);
-        let finder = ModelFinder::new(Options::default());
-        let (result, _) = finder
-            .check(
-                &schema,
-                &bounds,
-                &patterns::irreflexive(&rel(r)),
-                &patterns::acyclic(&rel(r)),
-            )
-            .unwrap();
-        match result {
-            CheckResult::Counterexample(inst) => {
-                let v = inst.get(r);
-                assert!(!v.is_empty(), "counterexample must contain a cycle");
-            }
-            other => panic!("expected counterexample, got {other:?}"),
         }
     }
 }

@@ -2,11 +2,17 @@
 //!
 //! This crate plays the role of Alloy's Kodkod engine in the paper's
 //! workflow: a [`Problem`] pairs a relational [`relational::Formula`] with
-//! per-relation [`relational::Bounds`] over a finite universe; the
-//! [`ModelFinder`] translates it into a boolean circuit (relations as
+//! per-relation [`relational::Bounds`] over a finite universe; a
+//! [`Session`] translates it into a boolean circuit (relations as
 //! matrices of gates), Tseitin-encodes the circuit into CNF, discharges it
 //! to the from-scratch CDCL solver in `ptxmm-satsolver`, and decodes any
 //! model back into a relational [`relational::Instance`].
+//!
+//! There is one such pipeline. A session keeps it warm across many
+//! queries over the same base formula; a scratch [`ModelFinder`] run is
+//! a fresh session answering the one query `true`, which adds nothing
+//! to the base CNF. The differential tests therefore compare a fresh
+//! session with a reused one.
 //!
 //! Features mirroring Kodkod:
 //!
@@ -28,7 +34,7 @@ pub mod session;
 pub mod symmetry;
 pub mod translate;
 
-pub use finder::{CheckResult, ModelFinder, Options, Problem, Report, Verdict};
+pub use finder::{ModelFinder, Options, Problem, Report, Verdict};
 pub use harness::{HarnessOptions, Query, QueryCtx, QueryOutput, QueryRecord, SessionPool};
 pub use obs;
 pub use satsolver::{drat, hash, CancelToken, Interrupt, Lit, Proof, SolverStats};

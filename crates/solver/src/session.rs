@@ -17,11 +17,14 @@
 //!    root is guarded by a fresh activation literal `act` via the clause
 //!    `¬act ∨ root`; the query is solved with `act` assumed and retired
 //!    afterwards with a permanent unit `¬act`, so its constraint can never
-//!    leak into later queries.
+//!    leak into later queries. A query that translates to constant true
+//!    is not encoded and gets no activation literal: the solver searches
+//!    exactly the base CNF, with no assumptions.
 //!
-//! Verdicts are identical to per-query [`crate::ModelFinder`] runs over
-//! `base ∧ query` (guaranteed by the `session_matches_scratch`
-//! regression tests); only the work performed differs.
+//! That last rule makes a scratch [`crate::ModelFinder`] run nothing but
+//! a fresh session over `base ∧ query` answering the query `true`, so
+//! the scratch-versus-session regression tests compare a fresh session
+//! with a reused one: same verdicts, different work.
 
 use std::time::{Duration, Instant};
 
@@ -29,14 +32,14 @@ use relational::{Bounds, Formula, Instance, Schema, TypeError};
 use satsolver::{CancelToken, Interrupt, Lit, Proof, SolveResult, Solver, SolverStats};
 
 use crate::circuit::{CircuitEncoder, GateId};
-use crate::finder::{decode, CheckResult, Options, Report, Verdict};
+use crate::finder::{decode, Options, Report, Verdict};
 use crate::symmetry::{break_symmetries, formula_pins_atoms, symmetry_classes};
 use crate::translate::IncrementalTranslator;
 
 /// Cumulative work counters for a session.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SessionStats {
-    /// Queries dispatched (solve/check calls, enumerate counts once).
+    /// Queries dispatched (solve calls; enumerate counts once).
     pub queries: u64,
     /// Total time translating formulas to circuit gates.
     pub translate_time: Duration,
@@ -225,10 +228,12 @@ impl Session {
 
     /// Searches for an instance satisfying `base ∧ formula`.
     ///
-    /// Equivalent to [`crate::ModelFinder::solve`] on the conjoined
+    /// Same verdict as [`crate::ModelFinder::solve`] on the conjoined
     /// problem, but incremental: only `formula`'s new subcircuit is
     /// translated and encoded, and the solver resumes with everything it
-    /// learnt from earlier queries.
+    /// learnt from earlier queries. A `formula` that translates to
+    /// constant true adds nothing: the search runs on the base CNF with
+    /// no assumptions, which is exactly a scratch run.
     ///
     /// # Errors
     ///
@@ -254,13 +259,21 @@ impl Session {
         let t1 = Instant::now();
         let hits_before = self.encoder.cache_hits();
         let tseitin_before = self.encoder.tseitin_clauses();
-        let encode_span = self.options.tracer.span("encode");
-        let root_lit = self
-            .encoder
-            .encode(self.translator.circuit(), query_root, &mut self.solver);
-        let act = self.solver.new_var();
-        self.solver.add_clause(&[act.negative(), root_lit]);
-        drop(encode_span);
+        // A constant-true query adds nothing to the base: it is not
+        // encoded and needs no activation literal, so the solver sees
+        // exactly the base CNF with no assumptions.
+        let act = if self.translator.circuit().is_true(query_root) {
+            None
+        } else {
+            let encode_span = self.options.tracer.span("encode");
+            let root_lit =
+                self.encoder
+                    .encode(self.translator.circuit(), query_root, &mut self.solver);
+            let act = self.solver.new_var();
+            self.solver.add_clause(&[act.negative(), root_lit]);
+            drop(encode_span);
+            Some(act.positive())
+        };
         self.stats.encode_time += t1.elapsed();
 
         let mut report = Report {
@@ -298,14 +311,14 @@ impl Session {
                 Interrupt::Deadline
             });
             self.last_core = None;
-            self.retire(act.negative());
+            self.retire_query(act);
             return Ok((Verdict::Unknown, report));
         }
 
         let t2 = Instant::now();
         let stats_before = self.solver.stats();
         let solve_span = self.options.tracer.span("solve");
-        let result = self.solver.solve_with_assumptions(&[act.positive()]);
+        let result = self.solver.solve_with_assumptions(act.as_slice());
         drop(solve_span);
         report.solve_time = t2.elapsed();
         self.stats.solve_time += report.solve_time;
@@ -332,24 +345,8 @@ impl Session {
                 ))
             }
         };
-        self.retire(act.negative());
+        self.retire_query(act);
         Ok((verdict, report))
-    }
-
-    /// Alloy's `check` idiom against the session base: searches for a
-    /// counterexample satisfying `base ∧ ¬assertion`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TypeError`] if `assertion` violates arity discipline.
-    pub fn check(&mut self, assertion: &Formula) -> Result<(CheckResult, Report), TypeError> {
-        let (verdict, report) = self.solve(&assertion.not())?;
-        let result = match verdict {
-            Verdict::Unsat => CheckResult::Valid,
-            Verdict::Sat(instance) => CheckResult::Counterexample(instance),
-            Verdict::Unknown => CheckResult::Unknown,
-        };
-        Ok((result, report))
     }
 
     /// Enumerates instances satisfying `base ∧ formula`, invoking `visit`
@@ -446,6 +443,13 @@ impl Session {
         self.solver.add_clause(&[not_act]);
     }
 
+    /// Retires a solved query's activation literal, if it has one.
+    fn retire_query(&mut self, act: Option<Lit>) {
+        if let Some(act) = act {
+            self.retire(!act);
+        }
+    }
+
     /// The DRAT proof accumulated across every query of this session,
     /// when the session was created with [`Options::proof_logging`].
     ///
@@ -456,6 +460,11 @@ impl Session {
     /// [`Session::last_core`] certifies the verdict.
     pub fn proof(&self) -> Option<&Proof> {
         self.solver.proof()
+    }
+
+    /// Moves the proof log out of the session, turning logging off.
+    pub(crate) fn take_proof(&mut self) -> Option<Proof> {
+        self.solver.take_proof()
     }
 
     /// The assumption core of the most recent query, `Some` exactly when
@@ -599,23 +608,32 @@ mod tests {
     }
 
     #[test]
-    fn check_finds_counterexample_and_validity() {
-        let (schema, bounds, _) = acyclic_base();
-        let r = schema.find("r").unwrap();
+    fn constant_true_query_solves_the_base_cnf_alone() {
+        // A total order on 3 atoms always has r;r ∩ r ≠ ∅: an
+        // unsatisfiable base that takes real search to refute.
+        let mut schema = Schema::new();
+        let r = schema.relation("r", 2);
+        let bounds = Bounds::new(&schema, 3);
+        let base = patterns::strict_total_order_on(&rel(r), &relational::Expr::Univ)
+            .and(&rel(r).join(&rel(r)).intersect(&rel(r)).no());
         let mut session = Session::new(
             &schema,
             &bounds,
-            &patterns::acyclic(&rel(r)),
-            Options::check(),
+            &base,
+            Options::default().with_proof_logging(),
         )
         .unwrap();
-        let (res, _) = session.check(&patterns::irreflexive(&rel(r))).unwrap();
-        assert!(res.is_valid(), "acyclic implies irreflexive");
-        let (res, _) = session.check(&rel(r).no()).unwrap();
-        assert!(
-            matches!(res, CheckResult::Counterexample(_)),
-            "acyclic does not imply empty"
-        );
+        let vars = session.solver.num_vars();
+        let clauses = session.solver.num_clauses();
+        let (v, report) = session.solve(&Formula::True).unwrap();
+        assert!(v.is_unsat());
+        // The search ran on the base CNF: no encoding, no activation
+        // literal, and no retiring unit afterwards.
+        assert_eq!((report.sat_vars, report.sat_clauses), (vars, clauses));
+        assert_eq!(session.solver.num_vars(), vars);
+        assert_eq!(session.last_core(), Some(&[][..]));
+        let proof = session.proof().expect("proof logging enabled");
+        crate::drat::certify_unsat(proof, &[]).expect("formula-level Unsat certifies");
     }
 
     #[test]

@@ -85,45 +85,6 @@ impl Matrix {
     }
 }
 
-/// The result of translating a problem: a circuit, the root gate that must
-/// hold, and for each relation the map from tuple to input index used for
-/// decoding models.
-#[derive(Debug)]
-pub struct Translation {
-    /// The boolean circuit.
-    pub circuit: Circuit,
-    /// The gate asserting the formula and all bounds.
-    pub root: GateId,
-    /// For each relation id: tuple → circuit input index.
-    pub rel_inputs: Vec<BTreeMap<Tuple, u32>>,
-    /// Sparse matrix cells materialized while translating (relation
-    /// allocation plus every operator result); see
-    /// [`IncrementalTranslator::matrix_cells`].
-    pub matrix_cells: u64,
-}
-
-/// Translates `formula` under `bounds` into a boolean circuit.
-///
-/// # Errors
-///
-/// Returns a [`TypeError`] if the formula or any expression in it violates
-/// arity discipline.
-pub fn translate(
-    schema: &Schema,
-    bounds: &Bounds,
-    formula: &Formula,
-    strategy: ClosureStrategy,
-) -> Result<Translation, TypeError> {
-    let mut tr = IncrementalTranslator::new(schema, bounds, strategy);
-    let root = tr.formula(formula)?;
-    Ok(Translation {
-        circuit: tr.inner.circuit,
-        root,
-        rel_inputs: tr.inner.rel_inputs,
-        matrix_cells: tr.inner.cells,
-    })
-}
-
 /// A persistent translator: one circuit accumulating the translations of
 /// many formulas over the same (schema, bounds).
 ///
@@ -554,16 +515,22 @@ mod tests {
     use super::*;
     use relational::schema::rel;
 
+    /// Translates `f` with a fresh translator, returning it and the root.
+    fn translate(schema: &Schema, bounds: &Bounds, f: &Formula) -> (IncrementalTranslator, GateId) {
+        let mut tr = IncrementalTranslator::new(schema, bounds, ClosureStrategy::default());
+        let root = tr.formula(f).unwrap();
+        (tr, root)
+    }
+
     #[test]
     fn translation_counts_inputs() {
         let mut schema = Schema::new();
         let r = schema.relation("r", 2);
         let mut bounds = Bounds::new(&schema, 2);
         bounds.bound_upper(r, TupleSet::from_pairs([(0, 0), (0, 1), (1, 0), (1, 1)]));
-        let f = rel(r).some();
-        let tr = translate(&schema, &bounds, &f, ClosureStrategy::default()).unwrap();
-        assert_eq!(tr.rel_inputs[0].len(), 4);
-        assert!(!tr.circuit.is_false(tr.root));
+        let (tr, root) = translate(&schema, &bounds, &rel(r).some());
+        assert_eq!(tr.rel_inputs()[0].len(), 4);
+        assert!(!tr.circuit().is_false(root));
     }
 
     #[test]
@@ -577,9 +544,9 @@ mod tests {
             TupleSet::from_pairs([(0, 1), (1, 0)]),
         );
         // `some r` must be constant-true: (0,1) is always present.
-        let tr = translate(&schema, &bounds, &rel(r).some(), ClosureStrategy::default()).unwrap();
-        assert!(tr.circuit.is_true(tr.root));
-        assert_eq!(tr.rel_inputs[0].len(), 1); // only (1,0) is free
+        let (tr, root) = translate(&schema, &bounds, &rel(r).some());
+        assert!(tr.circuit().is_true(root));
+        assert_eq!(tr.rel_inputs()[0].len(), 1); // only (1,0) is free
     }
 
     #[test]
@@ -592,10 +559,10 @@ mod tests {
             .closure()
             .intersect(&relational::ast::Expr::Iden)
             .no();
-        let a = translate(&schema, &bounds, &f, ClosureStrategy::default()).unwrap();
-        let b = translate(&schema, &bounds, &f, ClosureStrategy::default()).unwrap();
-        assert!(a.matrix_cells > 9, "closure work must be counted");
-        assert_eq!(a.matrix_cells, b.matrix_cells);
+        let (a, _) = translate(&schema, &bounds, &f);
+        let (b, _) = translate(&schema, &bounds, &f);
+        assert!(a.matrix_cells() > 9, "closure work must be counted");
+        assert_eq!(a.matrix_cells(), b.matrix_cells());
     }
 
     /// Edge `i` of a chain or ring over atoms `5..5+k`: `5+i → 5+(i+1)%k`.
@@ -697,6 +664,7 @@ mod tests {
         let s = schema.relation("s", 1);
         let bounds = Bounds::new(&schema, 2);
         let bad = rel(r).union(&rel(s)).some();
-        assert!(translate(&schema, &bounds, &bad, ClosureStrategy::default()).is_err());
+        let mut tr = IncrementalTranslator::new(&schema, &bounds, ClosureStrategy::default());
+        assert!(tr.formula(&bad).is_err());
     }
 }

@@ -8,12 +8,18 @@ use relational::patterns;
 use relational::schema::rel;
 use relational::{Bounds, Expr, Formula, Schema, TupleSet};
 
-/// Counts all models via `enumerate` (which always disables symmetry
-/// breaking, keeping the count exact).
+/// Counts all models by enumerating a fresh session without symmetry
+/// breaking, keeping the count exact.
 fn count_models(problem: &Problem) -> usize {
-    ModelFinder::new(Options::default())
-        .enumerate(problem, 10_000, |_| {})
-        .unwrap()
+    Session::new(
+        &problem.schema,
+        &problem.bounds,
+        &problem.formula,
+        Options::default(),
+    )
+    .unwrap()
+    .enumerate(&Formula::True, 10_000, |_| {})
+    .unwrap()
 }
 
 #[test]

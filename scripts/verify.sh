@@ -330,6 +330,17 @@ if grep -rn 'push_str("\\\\' crates --include='*.rs' | grep -v 'crates/obs/src/j
     exit 1
 fi
 
+# JSON-parser dedup: obs::json is also the workspace's single JSON
+# parser; a second value type or recursive-descent parser (the
+# telltales are an object/array variant or parse_object/parse_array)
+# drifts on escapes, numbers, and nesting limits. Keep it so.
+echo "== single JSON parser check =="
+if grep -rnE 'Obj\((Vec|BTreeMap|HashMap)<|Arr\(Vec<|fn parse_(object|array)\b|enum (Json)?Value\b' \
+    crates --include='*.rs' | grep -v 'crates/obs/src/json.rs'; then
+    echo "verify.sh: JSON value type or parser outside obs::json (use obs::json::parse)" >&2
+    exit 1
+fi
+
 # Fixed-seed differential-fuzzing smoke: every generator round is
 # deterministic under --seed, so this also guards against generator
 # drift. Any cross-layer disagreement or rejected DRAT certificate makes
