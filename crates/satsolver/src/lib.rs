@@ -10,7 +10,7 @@
 //!
 //! * two-watched-literal unit propagation with blocker literals and
 //!   dedicated binary-clause watch lists,
-//! * first-UIP conflict analysis with basic clause minimization,
+//! * first-UIP conflict analysis with recursive clause minimization,
 //! * VSIDS variable activities with phase saving,
 //! * Luby-sequence restarts that persist across incremental queries,
 //! * LBD ("glue") based learnt clause retention on a conflict cadence,
