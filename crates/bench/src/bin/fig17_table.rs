@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! fig17_table [bounds…] [--jobs N] [--timeout-secs S] [--json]
-//!             [--sessions] [--bench-json PATH] [--stats] [--stats-json PATH]
-//!             [--trace-out PATH]
+//!             [--sessions] [--stats] [--stats-json PATH] [--trace-out PATH]
 //! ```
 //!
 //! Each (scope mode × bound × axiom) verification is one query. With
@@ -20,13 +19,9 @@
 //! axioms. Verdicts are identical to the scratch path; records gain a
 //! detail field with the translation-cache hits and per-phase timings.
 //!
-//! `--bench-json PATH` times the scratch and session paths against each
-//! other per bound and writes the comparison as a JSON Lines artifact in
-//! the shared `obs` stats schema (the `BENCH_fig17.json` baseline in the
-//! repository root): wall times under `time.bound<B>.{scratch,sessions}`
-//! and the merged solver/translation counters of each path under
-//! `bound<B>.{scratch,sessions}.`, so two baselines can be compared with
-//! `scripts/bench_diff.sh`.
+//! The sweep itself lives in the `ptxmm_bench` library, shared with
+//! `benchgate`, which runs bounds 2–3 on both paths and gates their
+//! counters.
 //!
 //! `--stats` prints an observability table after the sweep — totals plus
 //! per-query counters under `query.<name>.`; `--stats-json PATH` writes
@@ -37,14 +32,10 @@
 //! tagged), loadable in Perfetto; summarize offline with `traceview`.
 
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use mapping::{AxiomSession, RecipeVariant, ScopeMode};
-use modelfinder::harness::{run_queries, HarnessOptions, Query, QueryOutput};
-use modelfinder::{obs, Options, QueryRecord, SessionPool, Verdict};
-
-const AXIOMS: [&str; 3] = ["Coherence", "Atomicity", "SC"];
+use modelfinder::obs;
+use ptxmm_bench::run_sweep;
 
 fn main() -> ExitCode {
     let mut bounds: Vec<usize> = Vec::new();
@@ -52,7 +43,6 @@ fn main() -> ExitCode {
     let mut timeout_secs: Option<u64> = None;
     let mut json = false;
     let mut sessions = false;
-    let mut bench_json: Option<String> = None;
     let mut stats = false;
     let mut stats_json: Option<String> = None;
     let mut trace_out: Option<String> = None;
@@ -69,10 +59,6 @@ fn main() -> ExitCode {
             "--timeout-secs" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(s) => timeout_secs = Some(s),
                 None => return usage("--timeout-secs needs an integer"),
-            },
-            "--bench-json" => match it.next() {
-                Some(path) => bench_json = Some(path.clone()),
-                None => return usage("--bench-json needs a file path"),
             },
             "--stats" => stats = true,
             "--stats-json" => match it.next() {
@@ -95,10 +81,6 @@ fn main() -> ExitCode {
         bounds
     };
     let timeout = timeout_secs.map(Duration::from_secs);
-
-    if let Some(path) = bench_json {
-        return run_bench(&bounds, jobs, timeout, &path);
-    }
 
     let stats_wanted = stats || stats_json.is_some();
     let reg = if stats_wanted {
@@ -153,157 +135,11 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs the full (mode × bound × axiom) sweep on either the scratch or
-/// the incremental path, streaming records to `on_record`.
-fn run_sweep(
-    bounds: &[usize],
-    jobs: usize,
-    timeout: Option<Duration>,
-    sessions: bool,
-    reg: &obs::Registry,
-    tracer: &obs::trace::Tracer,
-    on_record: impl FnMut(&QueryRecord),
-) -> Vec<QueryRecord> {
-    // One incremental session per (mode, bound) key and worker; workers
-    // check sessions out per query, so at most `jobs` exist per key.
-    let pool: Arc<SessionPool<(ScopeMode, usize), AxiomSession>> = Arc::new(SessionPool::new());
-    let mut queries = Vec::new();
-    for mode in [ScopeMode::Scoped, ScopeMode::Descoped] {
-        for &bound in bounds {
-            for axiom in AXIOMS {
-                let name = format!("{mode:?}/bound{bound}/{axiom}");
-                let pool = Arc::clone(&pool);
-                queries.push(Query::new(name, move |ctx| {
-                    if sessions {
-                        let mut session = pool.checkout(&(mode, bound), || {
-                            AxiomSession::new(bound, mode, RecipeVariant::Correct, Options::check())
-                                .expect("internal encoding error")
-                        });
-                        session.set_cancel(Some(ctx.cancel.clone()));
-                        session.set_deadline(ctx.timeout);
-                        session.set_tracer(ctx.trace.clone());
-                        let row = session.verify(axiom).expect("internal encoding error");
-                        session.set_cancel(None);
-                        session.set_deadline(None);
-                        row.report.record_obs(&ctx.obs);
-                        let out = query_output(&row, true);
-                        pool.checkin((mode, bound), session);
-                        out
-                    } else {
-                        let model = mapping::build(bound, mode, RecipeVariant::Correct);
-                        let mut opts = Options::check()
-                            .with_cancel(ctx.cancel.clone())
-                            .with_tracer(ctx.trace.clone());
-                        opts.deadline = ctx.timeout;
-                        let row = mapping::verify_axiom(&model, axiom, mode, opts)
-                            .expect("internal encoding error");
-                        row.report.record_obs(&ctx.obs);
-                        query_output(&row, false)
-                    }
-                }));
-            }
-        }
-    }
-    let options = HarnessOptions {
-        jobs,
-        timeout,
-        obs: reg.clone(),
-        trace: tracer.clone(),
-        ..HarnessOptions::default()
-    };
-    run_queries(queries, &options, on_record)
-}
-
-/// Converts a verification row into a harness record payload. Session
-/// rows carry the incremental counters in the detail field.
-fn query_output(row: &mapping::AxiomCheckRow, sessions: bool) -> QueryOutput {
-    let mut detail = row
-        .report
-        .interrupted
-        .map(|reason| format!("stopped early: {reason}"));
-    if sessions {
-        let phases = format!(
-            "cache_hits={} t_translate={:.6}s t_solve={:.6}s",
-            row.report.gate_cache_hits,
-            row.report.translate_time.as_secs_f64(),
-            row.report.solve_time.as_secs_f64(),
-        );
-        detail = Some(match detail {
-            Some(d) => format!("{d}; {phases}"),
-            None => phases,
-        });
-    }
-    QueryOutput {
-        verdict: match &row.verdict {
-            Verdict::Sat(_) => "Sat".to_string(),
-            Verdict::Unsat => "Unsat".to_string(),
-            Verdict::Unknown => "Unknown".to_string(),
-        },
-        sat_vars: row.report.sat_vars as u64,
-        sat_clauses: row.report.sat_clauses as u64,
-        conflicts: row.report.solver_stats.conflicts,
-        path: None,
-        detail,
-    }
-}
-
-/// Times the scratch path against the session path per bound and writes
-/// the comparison to `path` as an `obs` JSON Lines snapshot: wall times
-/// as `time.bound<B>.{scratch,sessions}` and each path's merged work
-/// counters under `bound<B>.{scratch,sessions}.`.
-fn run_bench(bounds: &[usize], jobs: usize, timeout: Option<Duration>, path: &str) -> ExitCode {
-    let reg = obs::Registry::new();
-    reg.note("benchmark", "fig17 scratch vs incremental sessions");
-    reg.note("jobs", &jobs.to_string());
-    reg.note("queries_per_bound", &(2 * AXIOMS.len()).to_string());
-    for &bound in bounds {
-        let single = [bound];
-        let tracer = obs::trace::Tracer::flight_recorder();
-        let scratch_obs = obs::Registry::new();
-        let t0 = Instant::now();
-        let scratch_records =
-            run_sweep(&single, jobs, timeout, false, &scratch_obs, &tracer, |_| {});
-        let scratch_wall = t0.elapsed();
-        let session_obs = obs::Registry::new();
-        let t1 = Instant::now();
-        let session_records =
-            run_sweep(&single, jobs, timeout, true, &session_obs, &tracer, |_| {});
-        let session_wall = t1.elapsed();
-        for (s, i) in scratch_records.iter().zip(&session_records) {
-            if s.verdict != i.verdict {
-                eprintln!(
-                    "fig17_table: verdict drift on {}: scratch={} sessions={}",
-                    s.name, s.verdict, i.verdict
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-        let (scratch_secs, session_secs) = (scratch_wall.as_secs_f64(), session_wall.as_secs_f64());
-        eprintln!(
-            "bound {bound}: scratch {scratch_secs:.3}s, sessions {session_secs:.3}s ({:.2}x)",
-            scratch_secs / session_secs
-        );
-        reg.record_duration(&format!("time.bound{bound}.scratch"), scratch_wall);
-        reg.record_duration(&format!("time.bound{bound}.sessions"), session_wall);
-        reg.merge_prefixed(&scratch_obs, &format!("bound{bound}.scratch."));
-        reg.merge_prefixed(&session_obs, &format!("bound{bound}.sessions."));
-    }
-
-    match std::fs::write(path, reg.snapshot().to_jsonl()) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("fig17_table: cannot write {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 fn usage(err: &str) -> ExitCode {
     eprintln!("fig17_table: {err}");
     eprintln!(
         "usage: fig17_table [bounds…] [--jobs N] [--timeout-secs S] [--json] \
-         [--sessions] [--bench-json PATH] [--stats] [--stats-json PATH] \
-         [--trace-out PATH]"
+         [--sessions] [--stats] [--stats-json PATH] [--trace-out PATH]"
     );
     ExitCode::FAILURE
 }

@@ -1,78 +1,106 @@
-//! Shared helpers for the benchmark harness that regenerates the paper's
-//! tables and figures (see `benches/` and the `fig17_table` binary).
+//! The Figure 17 sweep shared by the `fig17_table` binary and the
+//! `benchgate` counter gate.
 
-use satsolver::{Lit, Solver, Var};
-use testkit::Rng;
+use std::sync::Arc;
+use std::time::Duration;
 
-/// Builds a pigeonhole CNF: `pigeons` into `holes` (UNSAT when
-/// `pigeons > holes`).
-pub fn pigeonhole(pigeons: usize, holes: usize) -> Solver {
-    let mut s = Solver::new();
-    let var: Vec<Vec<Var>> = (0..pigeons)
-        .map(|_| (0..holes).map(|_| s.new_var()).collect())
-        .collect();
-    for row in &var {
-        let clause: Vec<Lit> = row.iter().map(|v| v.positive()).collect();
-        s.add_clause(&clause);
-    }
-    for p1 in 0..pigeons {
-        for p2 in (p1 + 1)..pigeons {
-            for (a, b) in var[p1].iter().zip(&var[p2]) {
-                s.add_clause(&[a.negative(), b.negative()]);
+use mapping::{AxiomSession, RecipeVariant, ScopeMode};
+use modelfinder::harness::{run_queries, HarnessOptions, Query, QueryOutput};
+use modelfinder::{obs, Options, QueryRecord, SessionPool, Verdict};
+
+/// The axioms checked per (scope mode, bound), in sweep order.
+const AXIOMS: [&str; 3] = ["Coherence", "Atomicity", "SC"];
+
+/// Runs the full (mode × bound × axiom) sweep on either the scratch or
+/// the incremental path, streaming records to `on_record`.
+pub fn run_sweep(
+    bounds: &[usize],
+    jobs: usize,
+    timeout: Option<Duration>,
+    sessions: bool,
+    reg: &obs::Registry,
+    tracer: &obs::trace::Tracer,
+    on_record: impl FnMut(&QueryRecord),
+) -> Vec<QueryRecord> {
+    // One incremental session per (mode, bound) key and worker; workers
+    // check sessions out per query, so at most `jobs` exist per key.
+    let pool: Arc<SessionPool<(ScopeMode, usize), AxiomSession>> = Arc::new(SessionPool::new());
+    let mut queries = Vec::new();
+    for mode in [ScopeMode::Scoped, ScopeMode::Descoped] {
+        for &bound in bounds {
+            for axiom in AXIOMS {
+                let name = format!("{mode:?}/bound{bound}/{axiom}");
+                let pool = Arc::clone(&pool);
+                queries.push(Query::new(name, move |ctx| {
+                    if sessions {
+                        let mut session = pool.checkout(&(mode, bound), || {
+                            AxiomSession::new(bound, mode, RecipeVariant::Correct, Options::check())
+                                .expect("internal encoding error")
+                        });
+                        session.set_cancel(Some(ctx.cancel.clone()));
+                        session.set_deadline(ctx.timeout);
+                        session.set_tracer(ctx.trace.clone());
+                        let row = session.verify(axiom).expect("internal encoding error");
+                        session.set_cancel(None);
+                        session.set_deadline(None);
+                        row.report.record_obs(&ctx.obs);
+                        let out = query_output(&row, true);
+                        pool.checkin((mode, bound), session);
+                        out
+                    } else {
+                        let model = mapping::build(bound, mode, RecipeVariant::Correct);
+                        let mut opts = Options::check()
+                            .with_cancel(ctx.cancel.clone())
+                            .with_tracer(ctx.trace.clone());
+                        opts.deadline = ctx.timeout;
+                        let row = mapping::verify_axiom(&model, axiom, mode, opts)
+                            .expect("internal encoding error");
+                        row.report.record_obs(&ctx.obs);
+                        query_output(&row, false)
+                    }
+                }));
             }
         }
     }
-    s
+    let options = HarnessOptions {
+        jobs,
+        timeout,
+        obs: reg.clone(),
+        trace: tracer.clone(),
+        ..HarnessOptions::default()
+    };
+    run_queries(queries, &options, on_record)
 }
 
-/// Builds a random 3-SAT instance with the given clause/variable ratio.
-pub fn random_3sat(num_vars: usize, ratio: f64, seed: u64) -> Solver {
-    let mut rng = Rng::seed(seed);
-    let mut s = Solver::new();
-    let vars: Vec<Var> = (0..num_vars).map(|_| s.new_var()).collect();
-    let num_clauses = (num_vars as f64 * ratio) as usize;
-    for _ in 0..num_clauses {
-        let mut clause = Vec::with_capacity(3);
-        while clause.len() < 3 {
-            let v = vars[rng.index(num_vars)];
-            let lit = Lit::new(v, rng.flip());
-            if !clause.contains(&lit) && !clause.contains(&!lit) {
-                clause.push(lit);
-            }
-        }
-        s.add_clause(&clause);
+/// Converts a verification row into a harness record payload. Session
+/// rows carry the incremental counters in the detail field.
+fn query_output(row: &mapping::AxiomCheckRow, sessions: bool) -> QueryOutput {
+    let mut detail = row
+        .report
+        .interrupted
+        .map(|reason| format!("stopped early: {reason}"));
+    if sessions {
+        let phases = format!(
+            "cache_hits={} t_translate={:.6}s t_solve={:.6}s",
+            row.report.gate_cache_hits,
+            row.report.translate_time.as_secs_f64(),
+            row.report.solve_time.as_secs_f64(),
+        );
+        detail = Some(match detail {
+            Some(d) => format!("{d}; {phases}"),
+            None => phases,
+        });
     }
-    s
-}
-
-/// Runs one Figure 17 verification row and returns (verdict-is-unsat,
-/// wall time).
-pub fn fig17_row(
-    bound: usize,
-    mode: mapping::ScopeMode,
-    axiom: &'static str,
-) -> (bool, std::time::Duration) {
-    let model = mapping::build(bound, mode, mapping::RecipeVariant::Correct);
-    let row = mapping::verify_axiom(&model, axiom, mode, modelfinder::Options::check())
-        .expect("well-typed encoding");
-    (row.verdict.is_unsat(), row.total_time)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use satsolver::SolveResult;
-
-    #[test]
-    fn pigeonhole_helper() {
-        assert_eq!(pigeonhole(5, 4).solve(), SolveResult::Unsat);
-        assert_eq!(pigeonhole(4, 4).solve(), SolveResult::Sat);
-    }
-
-    #[test]
-    fn random_3sat_is_deterministic() {
-        let mut a = random_3sat(30, 3.0, 42);
-        let mut b = random_3sat(30, 3.0, 42);
-        assert_eq!(a.solve(), b.solve());
+    QueryOutput {
+        verdict: match &row.verdict {
+            Verdict::Sat(_) => "Sat".to_string(),
+            Verdict::Unsat => "Unsat".to_string(),
+            Verdict::Unknown => "Unknown".to_string(),
+        },
+        sat_vars: row.report.sat_vars as u64,
+        sat_clauses: row.report.sat_clauses as u64,
+        conflicts: row.report.solver_stats.conflicts,
+        path: None,
+        detail,
     }
 }

@@ -33,13 +33,6 @@
 //! `"symbolic"` for SAT-path answers, `"enumeration"` for the
 //! enumeration engines (PTX without `--sat`, and all C11 tests).
 //!
-//! `--bench-json PATH` benchmarks the SAT path over the PTX suite —
-//! every test answered from scratch and again through pooled sessions,
-//! repeated [`BENCH_REPEATS`] times — and writes per-test wall times
-//! (`time.litmus.<name>.{scratch,sessions}`) plus counters in the
-//! shared `obs` JSON Lines schema; `scripts/verify.sh` gates these rows
-//! against `BENCH_fig17.json` via `bench_diff.sh`.
-//!
 //! `--stats` prints an observability table after the sweep — totals plus
 //! per-test counters under `test.<name>.` (propagations, conflicts,
 //! learnt clauses, circuit gates, gate-cache hits, translate/solve wall
@@ -65,7 +58,6 @@ struct Cli {
     stats: bool,
     stats_json: Option<String>,
     trace_out: Option<String>,
-    bench_json: Option<String>,
     files: Vec<String>,
 }
 
@@ -80,7 +72,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         stats: false,
         stats_json: None,
         trace_out: None,
-        bench_json: None,
         files: Vec::new(),
     };
     let mut it = args.iter();
@@ -97,10 +88,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--trace-out" => {
                 let v = it.next().ok_or("--trace-out needs a path")?;
                 cli.trace_out = Some(v.clone());
-            }
-            "--bench-json" => {
-                let v = it.next().ok_or("--bench-json needs a path")?;
-                cli.bench_json = Some(v.clone());
             }
             "--server" => {
                 let v = it.next().ok_or("--server needs an address")?;
@@ -126,11 +113,11 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             path => cli.files.push(path.to_string()),
         }
     }
-    if !cli.suite && cli.files.is_empty() && cli.bench_json.is_none() {
+    if !cli.suite && cli.files.is_empty() {
         return Err("no input: pass litmus files or --suite".to_string());
     }
-    if cli.server.is_some() && (cli.bench_json.is_some() || cli.trace_out.is_some()) {
-        return Err("--server does not combine with --bench-json/--trace-out".to_string());
+    if cli.server.is_some() && cli.trace_out.is_some() {
+        return Err("--server does not combine with --trace-out".to_string());
     }
     Ok(cli)
 }
@@ -179,7 +166,7 @@ fn main() -> ExitCode {
         eprintln!(
             "usage: ptxherd [--jobs N] [--timeout-secs S] [--json] [--sat] \
              [--server ADDR] [--stats] [--stats-json PATH] [--trace-out PATH] \
-             [--bench-json PATH] <file.litmus>… | --suite"
+             <file.litmus>… | --suite"
         );
         return ExitCode::FAILURE;
     }
@@ -190,16 +177,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-
-    if let Some(path) = &cli.bench_json {
-        return match run_litmus_bench(path) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("ptxherd: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
 
     if let Some(addr) = cli.server.clone() {
         return run_server_mode(&addr, &cli);
@@ -501,83 +478,6 @@ fn sat_output(
     // root on interruption), so the session is safe to reuse either way.
     pool.checkin(sig, session);
     out
-}
-
-/// Repeat count for `--bench-json`: each suite test is solved this many
-/// times on each path, so the session path amortizes its one-time
-/// translation while the scratch path pays it every round — the same
-/// shape a pooled `--sat` sweep sees.
-const BENCH_REPEATS: u32 = 3;
-
-/// Benchmarks the symbolic SAT path over the PTX suite: answers every
-/// test from scratch and again through pooled incremental sessions,
-/// [`BENCH_REPEATS`] times each, cross-checks the verdicts, and writes
-/// per-test wall times (`time.litmus.<name>.{scratch,sessions}`) plus
-/// each path's merged counters (`litmus.{scratch,sessions}.`) to `path`
-/// as an `obs` JSON Lines snapshot comparable with `bench_diff.sh`.
-fn run_litmus_bench(path: &str) -> Result<(), String> {
-    use modelfinder::{ModelFinder, Options};
-    use std::time::Instant;
-
-    let reg = modelfinder::obs::Registry::new();
-    reg.note(
-        "benchmark",
-        "litmus SAT path: scratch vs incremental sessions",
-    );
-    reg.note("repeats", &BENCH_REPEATS.to_string());
-    let scratch_obs = modelfinder::obs::Registry::new();
-    let session_obs = modelfinder::obs::Registry::new();
-    let pool: SessionPool<Signature, SatSession> = SessionPool::new();
-    for test in library::extended_suite() {
-        let mut scratch_observable = None;
-        let t0 = Instant::now();
-        for _ in 0..BENCH_REPEATS {
-            // The problem is rebuilt per round: a scratch answer pays
-            // for encoding and translation every time.
-            let problem = sat::scratch_problem(&test);
-            let (verdict, report) = ModelFinder::new(Options::default())
-                .solve(&problem)
-                .map_err(|e| format!("{}: scratch encoding error: {e:?}", test.name))?;
-            report.record_obs(&scratch_obs);
-            scratch_observable = Some(verdict.instance().is_some());
-        }
-        let scratch_wall = t0.elapsed();
-
-        let sig = sat::signature(&test.program);
-        let mut session_observable = None;
-        let t1 = Instant::now();
-        for _ in 0..BENCH_REPEATS {
-            let mut session = pool.checkout(&sig, || {
-                SatSession::new(sig).expect("internal encoding error")
-            });
-            let r = session
-                .run(&test)
-                .map_err(|e| format!("{}: session error: {e}", test.name))?;
-            r.report.record_obs(&session_obs);
-            session_observable = r.observable;
-            pool.checkin(sig, session);
-        }
-        let session_wall = t1.elapsed();
-
-        if scratch_observable != session_observable {
-            return Err(format!(
-                "{}: verdict drift: scratch={scratch_observable:?} \
-                 sessions={session_observable:?}",
-                test.name
-            ));
-        }
-        let (s, i) = (scratch_wall.as_secs_f64(), session_wall.as_secs_f64());
-        eprintln!(
-            "{:<24} scratch {s:.3}s, sessions {i:.3}s ({:.2}x)",
-            test.name,
-            s / i
-        );
-        reg.record_duration(&format!("time.litmus.{}.scratch", test.name), scratch_wall);
-        reg.record_duration(&format!("time.litmus.{}.sessions", test.name), session_wall);
-    }
-    reg.merge_prefixed(&scratch_obs, "litmus.scratch.");
-    reg.merge_prefixed(&session_obs, "litmus.sessions.");
-    std::fs::write(path, reg.snapshot().to_jsonl()).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// Writes `snap` as `--stats-json` JSON Lines and prints it for

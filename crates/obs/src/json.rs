@@ -3,8 +3,8 @@
 //!
 //! The workspace is hermetic (no serde), so JSON is assembled by hand.
 //! Escaping lived in `modelfinder::harness` before this crate existed;
-//! it now lives here so the harness, the stats exporters, and the bench
-//! emitters all agree, and so the inverse ([`unescape`]) can round-trip
+//! it now lives here so the harness, the stats exporters, and the
+//! `ptxd` wire format all agree, and so the inverse ([`unescape`]) can round-trip
 //! test the encoder against arbitrary strings — including control
 //! characters, quotes, and backslashes in test names and paths.
 

@@ -23,8 +23,7 @@
 //! how the worker-pool harness folds per-query registries into a run
 //! total, and [snapshotted](Registry::snapshot) for rendering as a
 //! human-readable table or as JSON Lines (one event object per line,
-//! see [`Snapshot::to_jsonl`] for the schema `scripts/bench_diff.sh`
-//! consumes).
+//! see [`Snapshot::to_jsonl`] for the `--stats-json` schema).
 //!
 //! Counters and histogram contents are deterministic for fixed-seed
 //! single-job runs; wall-clock *durations* are not, which is why the
@@ -872,7 +871,7 @@ impl Snapshot {
 
     /// The stats export schema: one JSON object per line, in a fixed
     /// key order with no extraneous whitespace so line-oriented tools
-    /// (`scripts/bench_diff.sh`) can parse it with `sed`.
+    /// (`grep`, `diff`, `sed`) can compare and extract records.
     ///
     /// ```text
     /// {"kind":"note","name":"benchmark","value":"fig17"}

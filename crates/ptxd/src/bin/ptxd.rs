@@ -3,7 +3,6 @@
 //! ```text
 //! ptxd --listen 127.0.0.1:0 --port-file /tmp/ptxd.addr
 //! ptxd --listen 127.0.0.1:7447 --jobs 4 --certify
-//! ptxd --bench-json BENCH.json     # scratch vs cold vs warm, then exit
 //! ```
 //!
 //! The server speaks newline-delimited JSON over TCP (see
@@ -16,18 +15,10 @@
 //! queued and in-flight queries before exit, then flush `--stats-json`
 //! / `--trace-out`.
 //!
-//! `--bench-json PATH` runs the service benchmark instead of serving:
-//! the full bundled suite answered (1) from scratch — one
-//! `ModelFinder` per test, translation paid every time, (2) by an
-//! in-process single-worker server with cold caches, (3) again warm —
-//! every verdict a pure cache hit. It cross-checks the three verdict
-//! columns, requires warm ≥ 10× faster than scratch, and writes
-//! `time.ptxd.suite.{scratch,cold,warm}` plus the server's
-//! deterministic `ptxd.*` counters in the shared `obs` JSON Lines
-//! schema for `scripts/bench_diff.sh`.
+//! The service benchmark (scratch vs cold server vs warm verdict cache)
+//! runs in-process in `benchgate` (`crates/bench`).
 
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
 
 use ptxd::signal::SignalFd;
 use ptxd::{Config, Server};
@@ -37,7 +28,6 @@ struct Cli {
     port_file: Option<String>,
     stats_json: Option<String>,
     trace_out: Option<String>,
-    bench_json: Option<String>,
 }
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
@@ -46,7 +36,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         port_file: None,
         stats_json: None,
         trace_out: None,
-        bench_json: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -99,9 +88,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--trace-out" => {
                 cli.trace_out = Some(it.next().ok_or("--trace-out needs a path")?.clone());
             }
-            "--bench-json" => {
-                cli.bench_json = Some(it.next().ok_or("--bench-json needs a path")?.clone());
-            }
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -117,21 +103,11 @@ fn main() -> ExitCode {
                 "ptxd: {e}\nusage: ptxd [--listen ADDR] [--port-file PATH] [--jobs N] \
                  [--queue-bound N] [--fair-cap N] [--cache-cap N] \
                  [--access-log PATH] [--log-ring N] [--certify] \
-                 [--debug-ops] [--stats-json PATH] [--trace-out PATH] | --bench-json PATH"
+                 [--debug-ops] [--stats-json PATH] [--trace-out PATH]"
             );
             return ExitCode::FAILURE;
         }
     };
-
-    if let Some(path) = &cli.bench_json {
-        return match run_bench(path) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("ptxd: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
 
     // The signal mask must be in place before any thread exists, so
     // every thread inherits it and TERM/INT route to the signalfd.
@@ -183,151 +159,4 @@ fn main() -> ExitCode {
         snapshot.counter("ptxd.shed"),
     );
     ExitCode::SUCCESS
-}
-
-/// Minimum warm-over-scratch speedup the benchmark enforces.
-const MIN_WARM_SPEEDUP: f64 = 10.0;
-
-/// One bench pass over the suite through a connected client. Returns
-/// wall time, per-test observability, and how many replies were cached.
-fn client_pass(
-    client: &mut litmus::ServerClient,
-    sources: &[(String, String)],
-) -> Result<(Duration, Vec<bool>, usize), String> {
-    let t = Instant::now();
-    let mut observables = Vec::with_capacity(sources.len());
-    let mut cached = 0usize;
-    for (i, (name, source)) in sources.iter().enumerate() {
-        let reply = client
-            .run(i as u64, source, None)
-            .map_err(|e| format!("{name}: {e}"))?;
-        if !reply.ok {
-            return Err(format!(
-                "{name}: server error {}: {}",
-                reply.kind.as_deref().unwrap_or("?"),
-                reply.error.as_deref().unwrap_or("?")
-            ));
-        }
-        let observable = reply
-            .observable
-            .ok_or_else(|| format!("{name}: undecided verdict in benchmark"))?;
-        observables.push(observable);
-        cached += usize::from(reply.cached);
-    }
-    Ok((t.elapsed(), observables, cached))
-}
-
-fn run_bench(path: &str) -> Result<(), String> {
-    use litmus::{canon, library, sat};
-    use modelfinder::{ModelFinder, Options};
-
-    let reg = obs::Registry::new();
-    reg.note(
-        "benchmark",
-        "ptxd service: scratch vs cold server vs warm verdict cache",
-    );
-    let ptx_tests = library::extended_suite();
-    let c11_tests = library::c11_suite();
-    let suite_len = ptx_tests.len() + c11_tests.len();
-    reg.note("suite_len", &suite_len.to_string());
-
-    // Pass 1: scratch — what a no-service workflow pays. One
-    // ModelFinder per PTX test (translation every time), the
-    // enumeration oracle for C11.
-    let t0 = Instant::now();
-    let mut scratch = Vec::with_capacity(suite_len);
-    for test in &ptx_tests {
-        let problem = sat::scratch_problem(test);
-        let (verdict, _) = ModelFinder::new(Options::default())
-            .solve(&problem)
-            .map_err(|e| format!("{}: scratch encoding error: {e:?}", test.name))?;
-        scratch.push(verdict.instance().is_some());
-    }
-    for test in &c11_tests {
-        scratch.push(litmus::run_rc11(test).observable);
-    }
-    let scratch_wall = t0.elapsed();
-    eprintln!(
-        "scratch     {:>8.3}s  ({suite_len} tests)",
-        scratch_wall.as_secs_f64()
-    );
-
-    // Passes 2 and 3: an in-process single-worker server, cold then
-    // warm. jobs=1 keeps every ptxd.* counter deterministic.
-    let sources: Vec<(String, String)> = ptx_tests
-        .iter()
-        .map(|t| (t.name.clone(), canon::format_ptx_litmus(t)))
-        .chain(
-            c11_tests
-                .iter()
-                .map(|t| (t.name.clone(), canon::format_c11_litmus(t))),
-        )
-        .collect();
-    let mut handle = Server::spawn(Config {
-        jobs: 1,
-        ..Config::default()
-    })
-    .map_err(|e| format!("cannot spawn server: {e}"))?;
-    let mut client = litmus::ServerClient::connect(&handle.addr())
-        .map_err(|e| format!("cannot connect: {e}"))?;
-
-    let (cold_wall, cold, cold_cached) = client_pass(&mut client, &sources)?;
-    if cold_cached != 0 {
-        return Err(format!("cold pass had {cold_cached} cache hits"));
-    }
-    eprintln!("server cold {:>8.3}s", cold_wall.as_secs_f64());
-    let (warm_wall, warm, warm_cached) = client_pass(&mut client, &sources)?;
-    if warm_cached != suite_len {
-        return Err(format!(
-            "warm pass: {warm_cached}/{suite_len} replies cached"
-        ));
-    }
-    eprintln!(
-        "server warm {:>8.3}s  (all {suite_len} cached)",
-        warm_wall.as_secs_f64()
-    );
-
-    for (i, (name, _)) in sources.iter().enumerate() {
-        if scratch[i] != cold[i] || cold[i] != warm[i] {
-            return Err(format!(
-                "{name}: verdict drift: scratch={} cold={} warm={}",
-                scratch[i], cold[i], warm[i]
-            ));
-        }
-    }
-
-    handle.shutdown();
-    let snapshot = handle.join();
-    let hits = snapshot.counter("ptxd.cache_hits");
-    if hits != suite_len as u64 {
-        return Err(format!("expected {suite_len} cache hits, counted {hits}"));
-    }
-
-    let speedup = scratch_wall.as_secs_f64() / warm_wall.as_secs_f64().max(1e-9);
-    eprintln!("warm speedup {speedup:.1}x over scratch");
-    if speedup < MIN_WARM_SPEEDUP {
-        return Err(format!(
-            "warm pass only {speedup:.1}x faster than scratch (need {MIN_WARM_SPEEDUP}x)"
-        ));
-    }
-
-    reg.record_duration("time.ptxd.suite.scratch", scratch_wall);
-    reg.record_duration("time.ptxd.suite.cold", cold_wall);
-    reg.record_duration("time.ptxd.suite.warm", warm_wall);
-    // Only the deterministic service counters join the gated bench
-    // rows; solver-side counters are covered by the ptxherd bench,
-    // `batched`/`pool.reused` depend on whether the worker's batch scan
-    // wins the race against the client's next send, and the sampled
-    // gauges and latency histograms vary run to run.
-    let service = snapshot.filtered(|name| {
-        name.starts_with("ptxd.")
-            && !name.starts_with("ptxd.gauge.")
-            && name != "ptxd.batched"
-            && name != "ptxd.pool.reused"
-            && name != "ptxd.queue_wait_ns"
-            && name != "ptxd.solve_ns"
-    });
-    let mut out = reg.snapshot().to_jsonl();
-    out.push_str(&service.to_jsonl());
-    std::fs::write(path, out).map_err(|e| format!("cannot write {path}: {e}"))
 }

@@ -98,6 +98,7 @@ fn pigeonhole(holes: usize) -> Cnf {
 fn write_stats(path: &str, stats: &SolverStats) -> Result<(), ExitCode> {
     let reg = obs::Registry::new();
     reg.add("solver.propagations", stats.propagations);
+    reg.add("solver.root_propagations", stats.root_propagations);
     reg.add("solver.binary_propagations", stats.binary_propagations);
     reg.add("solver.conflicts", stats.conflicts);
     reg.add("solver.decisions", stats.decisions);

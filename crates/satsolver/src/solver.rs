@@ -75,6 +75,9 @@ pub struct SolverStats {
     pub decisions: u64,
     /// Number of literals propagated.
     pub propagations: u64,
+    /// Propagations made inside [`Solver::add_clause`] when a unit
+    /// clause is asserted at level 0 (a subset of `propagations`).
+    pub root_propagations: u64,
     /// Number of enqueues produced by the binary-clause watch lists
     /// (a subset of implications; these never touch clause memory).
     pub binary_propagations: u64,
@@ -465,10 +468,12 @@ impl Solver {
             }
             1 => {
                 self.unchecked_enqueue(out[0], None);
+                let before = self.stats.propagations;
                 if self.propagate().is_some() {
                     self.ok = false;
                     self.log_derive(&[]);
                 }
+                self.stats.root_propagations += self.stats.propagations - before;
                 self.ok
             }
             _ => {

@@ -201,6 +201,7 @@ impl Report {
         }
         let s = &self.solver_stats;
         reg.add("solver.propagations", s.propagations);
+        reg.add("solver.root_propagations", s.root_propagations);
         reg.add("solver.binary_propagations", s.binary_propagations);
         reg.add("solver.conflicts", s.conflicts);
         reg.add("solver.decisions", s.decisions);

@@ -497,6 +497,7 @@ fn stats_delta(before: SolverStats, after: SolverStats) -> SolverStats {
         conflicts: after.conflicts - before.conflicts,
         decisions: after.decisions - before.decisions,
         propagations: after.propagations - before.propagations,
+        root_propagations: after.root_propagations - before.root_propagations,
         binary_propagations: after.binary_propagations - before.binary_propagations,
         restarts: after.restarts - before.restarts,
         learnt_clauses: after.learnt_clauses - before.learnt_clauses,

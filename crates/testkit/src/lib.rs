@@ -1,20 +1,17 @@
-//! In-repo test support, replacing the external `rand`/`proptest`/
-//! `criterion` stack so the workspace builds and tests with no network
-//! access (an empty registry cache).
+//! In-repo test support, replacing the external `rand`/`proptest`
+//! stack so the workspace builds and tests with no network access (an
+//! empty registry cache).
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`Rng`] — a SplitMix64 pseudo-random generator (Steele, Lea &
 //!   Flood 2014; the seeding generator of `xoshiro`), deterministic and
 //!   good enough for test-case generation;
 //! * [`forall`] — a seeded property-test loop: runs a closure over many
 //!   independently seeded generators and reports the failing case's seed
-//!   so it can be replayed with [`check_seed`];
-//! * [`bench`] — a minimal wall-clock timer for the `benches/` targets.
+//!   so it can be replayed with [`check_seed`].
 
 #![warn(missing_docs)]
-
-pub mod bench;
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 

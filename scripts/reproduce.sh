@@ -35,7 +35,7 @@ cargo test --release --test proof_axioms_validated
 echo "== 5. Oracles and differential engines =="
 cargo test --release --test engines_agree --test sc_oracle --test prop_mapping_fuzz
 
-echo "== 6. Benchmarks (testkit wall-clock timer) =="
-cargo bench --workspace
+echo "== 6. Counter gate (fig17 bounds 2-3, litmus SAT path, ptxd suite) =="
+cargo run --release -p ptxmm-bench --bin benchgate
 
 echo "All experiments regenerated."
