@@ -99,13 +99,12 @@ fn main() -> ExitCode {
             println!("{}", rec.to_json());
         } else {
             println!(
-                "{:<28} unsat={:<5} vars={} clauses={} conflicts={} t={:.3}s{}",
+                "{:<28} unsat={:<5} vars={} clauses={} conflicts={}{}",
                 rec.name,
                 rec.verdict == "Unsat",
                 rec.sat_vars,
                 rec.sat_clauses,
                 rec.conflicts,
-                rec.wall.as_secs_f64(),
                 if rec.timed_out { "  TIMEOUT" } else { "" },
             );
         }

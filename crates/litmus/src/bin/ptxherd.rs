@@ -26,8 +26,13 @@
 //! PTX test takes the SAT path; there is no enumeration fallback.
 //! Verdicts are identical to the enumeration engine (enforced by the
 //! `sat_equivalence` regression suite); records gain a detail field
-//! with the translation-cache hits and per-phase timings. C11 tests
-//! always use the RC11 enumeration engine.
+//! with the translation-cache hits. C11 tests always use the RC11
+//! enumeration engine.
+//!
+//! The human lines carry no wall times, so flagless stdout is
+//! byte-identical between runs (`tests/golden/`); each test's wall time
+//! is the `--json` `wall_secs` field, and the translate/solve phase
+//! times are the `--stats` `time.*` rows.
 //!
 //! JSON records carry a `"path"` field naming the encoding mode:
 //! `"symbolic"` for SAT-path answers, `"enumeration"` for the
@@ -269,10 +274,9 @@ fn main() -> ExitCode {
                 println!("{}", rec.to_json());
             } else {
                 println!(
-                    "{:<24} {:<8} {:>9.3}s{}{}",
+                    "{:<24} {:<8}{}{}",
                     rec.name,
                     rec.verdict,
-                    rec.wall.as_secs_f64(),
                     if rec.timed_out { "  TIMEOUT" } else { "" },
                     rec.detail
                         .as_deref()
@@ -446,12 +450,8 @@ fn sat_output(
             };
             let detail = match r.observable {
                 Some(observable) => format!(
-                    "observable={observable} expected={:?} cache_hits={} \
-                     t_translate={:.6}s t_solve={:.6}s",
-                    test.expectation,
-                    r.report.gate_cache_hits,
-                    r.report.translate_time.as_secs_f64(),
-                    r.report.solve_time.as_secs_f64()
+                    "observable={observable} expected={:?} cache_hits={}",
+                    test.expectation, r.report.gate_cache_hits
                 ),
                 None => format!("expected={:?} interrupted", test.expectation),
             };

@@ -29,8 +29,7 @@ trace_json="$(mktemp)"
 autopsy_json="$(mktemp)"
 reduce_json="$(mktemp)"
 path_json="$(mktemp)"
-distill_a="$(mktemp)"
-distill_b="$(mktemp)"
+golden_out="$(mktemp)"
 ptxd_addr="$(mktemp)"
 ptxd_stats="$(mktemp)"
 ptxd_run_a="$(mktemp)"
@@ -41,7 +40,7 @@ ptxd_pid=""
 cleanup() {
     [ -n "$ptxd_pid" ] && kill "$ptxd_pid" 2> /dev/null
     rm -f "$stats_a" "$stats_b" "$trace_json" "$autopsy_json" "$reduce_json" \
-        "$path_json" "$distill_a" "$distill_b" "$ptxd_addr" "$ptxd_stats" \
+        "$path_json" "$golden_out" "$ptxd_addr" "$ptxd_stats" \
         "$ptxd_run_a" "$ptxd_run_b" "$ptxd_access" "$ptxtop_out"
 }
 trap cleanup EXIT
@@ -121,27 +120,42 @@ fi
 grep -q '"path":"symbolic"' "$path_json"
 grep -q '"path":"enumeration"' "$path_json"
 
-# Model-distinguishing smoke: a small ptxdistill sweep must find at
-# least one distinguishing test (every printed line is a synthesized
-# test whose verdicts were re-verified under both models on both
-# engines — the lifter discards anything that fails the round trip),
-# and its stdout must be byte-identical across two runs: the search is
-# seeded and the worker pool must not reorder or drop results.
-echo "== model-distinguishing smoke (ptxdistill --max-bound 4, deterministic) =="
-cargo run --release --offline -q -p ptxmm-litmus --bin ptxdistill -- \
-    --max-bound 4 --witnesses 1 --jobs 2 > "$distill_a" 2> /dev/null
-cargo run --release --offline -q -p ptxmm-litmus --bin ptxdistill -- \
-    --max-bound 4 --witnesses 1 --jobs 2 > "$distill_b" 2> /dev/null
-if ! diff "$distill_a" "$distill_b"; then
-    echo "verify.sh: ptxdistill stdout drifted between two identical runs" >&2
-    exit 1
-fi
-if ! grep -qE 'ptx=(Forbid ptx-cumulative=Allow|Allow ptx-cumulative=Forbid)' "$distill_a"; then
+# Golden stdout: the flagless human output of these drivers carries no
+# wall times and is deterministic (one worker, or a seeded search whose
+# pool keeps input order, as for ptxdistill --jobs 2), so each run must
+# match its file under tests/golden/ byte for byte. After an intended
+# output change, regenerate them with UPDATE_GOLDEN=1 bash scripts/verify.sh.
+echo "== golden stdout (tests/golden/) =="
+check_golden() {
+    local name="$1"
+    shift
+    if ! "$@" > "$golden_out" 2> /dev/null; then
+        echo "verify.sh: $* exited non-zero" >&2
+        exit 1
+    fi
+    if [ -n "${UPDATE_GOLDEN:-}" ]; then
+        cp "$golden_out" "tests/golden/$name"
+    elif ! diff -u "tests/golden/$name" "$golden_out"; then
+        echo "verify.sh: stdout of \`$*\` differs from tests/golden/$name" >&2
+        exit 1
+    fi
+}
+check_golden ptxherd-suite.txt ./target/release/ptxherd --suite
+check_golden ptxherd-suite-sat.txt ./target/release/ptxherd --suite --sat
+check_golden fig17_table-2-3.txt ./target/release/fig17_table 2 3
+check_golden ptxdistill-b4.txt ./target/release/ptxdistill --max-bound 4 --witnesses 1 --jobs 2
+
+# Model-distinguishing smoke: every line of the ptxdistill golden is a
+# synthesized test whose verdicts were re-verified under both models on
+# both engines (the lifter discards anything that fails the round trip);
+# at bound 4 at least one must distinguish the models.
+if ! grep -qE 'ptx=(Forbid ptx-cumulative=Allow|Allow ptx-cumulative=Forbid)' \
+    tests/golden/ptxdistill-b4.txt; then
     echo "verify.sh: ptxdistill found no distinguishing test at bound 4" >&2
     exit 1
 fi
 grep -qE 'searched [0-9]+ points to bound 4, lifted [0-9]+ tests, [1-9][0-9]* distinguishing' \
-    "$distill_a"
+    tests/golden/ptxdistill-b4.txt
 
 # Synthesized-corpus gate: every checked-in test in litmus/synth/ must
 # have a conformance row in litmus/EXPECTED.txt pinning *both* models'
