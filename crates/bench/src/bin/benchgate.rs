@@ -40,6 +40,7 @@ use std::time::{Duration, Instant};
 
 use litmus::sat::{self, SatSession, Signature};
 use litmus::{canon, library};
+use modelfinder::harness::HarnessOptions;
 use modelfinder::obs::{self, Snapshot};
 use modelfinder::{ModelFinder, Options, SessionPool};
 use ptxd::{Config, Server};
@@ -179,14 +180,18 @@ fn counters_json(snap: &Snapshot) -> String {
 /// each path's counters under `bound<B>.{scratch,sessions}.`.
 fn fig17(reg: &obs::Registry) -> Result<(), String> {
     for bound in [2, 3] {
-        let tracer = obs::trace::Tracer::flight_recorder();
+        let one_worker = |obs| HarnessOptions {
+            jobs: 1,
+            obs,
+            ..HarnessOptions::default()
+        };
         let scratch_obs = obs::Registry::new();
         let t0 = Instant::now();
-        let scratch = run_sweep(&[bound], 1, None, false, &scratch_obs, &tracer, |_| {});
+        let scratch = run_sweep(&[bound], false, &one_worker(scratch_obs.clone()), |_| {});
         let scratch_wall = t0.elapsed();
         let session_obs = obs::Registry::new();
         let t1 = Instant::now();
-        let sessions = run_sweep(&[bound], 1, None, true, &session_obs, &tracer, |_| {});
+        let sessions = run_sweep(&[bound], true, &one_worker(session_obs.clone()), |_| {});
         let session_wall = t1.elapsed();
         for (s, i) in scratch.iter().zip(&sessions) {
             if s.verdict != i.verdict {

@@ -32,70 +32,45 @@
 //! tagged), loadable in Perfetto; summarize offline with `traceview`.
 
 use std::process::ExitCode;
-use std::time::Duration;
 
-use modelfinder::obs;
+use modelfinder::harness::HarnessOptions;
+use modelfinder::obs::cli::{Cli, Flag};
 use ptxmm_bench::run_sweep;
+
+static CLI: Cli = Cli {
+    prog: "fig17_table",
+    usage: "[--sessions] [bounds…]",
+    flags: Flag::ALL,
+    stats_to_stderr: false,
+};
 
 fn main() -> ExitCode {
     let mut bounds: Vec<usize> = Vec::new();
-    let mut jobs = 1usize;
-    let mut timeout_secs: Option<u64> = None;
-    let mut json = false;
     let mut sessions = false;
-    let mut stats = false;
-    let mut stats_json: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--sessions" => sessions = true,
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => jobs = n,
-                _ => return usage("--jobs needs a positive integer"),
-            },
-            "--timeout-secs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(s) => timeout_secs = Some(s),
-                None => return usage("--timeout-secs needs an integer"),
-            },
-            "--stats" => stats = true,
-            "--stats-json" => match it.next() {
-                Some(path) => stats_json = Some(path.clone()),
-                None => return usage("--stats-json needs a file path"),
-            },
-            "--trace-out" => match it.next() {
-                Some(path) => trace_out = Some(path.clone()),
-                None => return usage("--trace-out needs a file path"),
-            },
-            other => match other.parse() {
-                Ok(b) => bounds.push(b),
-                Err(_) => return usage(&format!("unrecognized argument `{other}`")),
-            },
+    let parsed = CLI.parse(std::env::args().skip(1), |arg, _| {
+        if arg == "--sessions" {
+            sessions = true;
+        } else if let Ok(b) = arg.parse() {
+            bounds.push(b);
+        } else {
+            return Ok(false);
         }
+        Ok(true)
+    });
+    let run = match parsed {
+        Ok(run) => run,
+        Err(e) => return CLI.fail(&e),
+    };
+    if bounds.is_empty() {
+        bounds = vec![2, 3, 4];
     }
-    let bounds = if bounds.is_empty() {
-        vec![2, 3, 4]
-    } else {
-        bounds
-    };
-    let timeout = timeout_secs.map(Duration::from_secs);
 
-    let stats_wanted = stats || stats_json.is_some();
-    let reg = if stats_wanted {
-        obs::Registry::new()
-    } else {
-        obs::Registry::disabled()
-    };
-    let tracer = if trace_out.is_some() {
-        obs::trace::Tracer::for_export()
-    } else {
-        obs::trace::Tracer::flight_recorder()
-    };
-    let records = run_sweep(&bounds, jobs, timeout, sessions, &reg, &tracer, |rec| {
-        reg.merge_prefixed(&rec.obs, &format!("query.{}.", rec.name));
-        if json {
+    let options = HarnessOptions::for_run(&run);
+    let records = run_sweep(&bounds, sessions, &options, |rec| {
+        options
+            .obs
+            .merge_prefixed(&rec.obs, &format!("query.{}.", rec.name));
+        if run.json {
             println!("{}", rec.to_json());
         } else {
             println!(
@@ -110,35 +85,15 @@ fn main() -> ExitCode {
         }
     });
     let unknown = records.iter().filter(|r| r.verdict == "Unknown").count();
-    if !json && unknown > 0 {
+    if !run.json && unknown > 0 {
         eprintln!("{unknown} quer(ies) did not finish within budget");
     }
-    if stats_wanted {
-        let snap = reg.snapshot();
-        if let Some(path) = &stats_json {
-            if let Err(e) = std::fs::write(path, snap.to_jsonl()) {
-                eprintln!("fig17_table: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if stats {
-            print!("{}", snap.render_table());
-        }
+    let failures = run.finish(&options.obs.snapshot(), || {
+        options.trace.snapshot().to_chrome_json()
+    });
+    if failures > 0 {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
-    if let Some(path) = &trace_out {
-        if let Err(e) = std::fs::write(path, tracer.snapshot().to_chrome_json()) {
-            eprintln!("fig17_table: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn usage(err: &str) -> ExitCode {
-    eprintln!("fig17_table: {err}");
-    eprintln!(
-        "usage: fig17_table [bounds…] [--jobs N] [--timeout-secs S] [--json] \
-         [--sessions] [--stats] [--stats-json PATH] [--trace-out PATH]"
-    );
-    ExitCode::FAILURE
 }

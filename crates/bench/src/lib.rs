@@ -2,24 +2,21 @@
 //! `benchgate` counter gate.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use mapping::{AxiomSession, RecipeVariant, ScopeMode};
 use modelfinder::harness::{run_queries, HarnessOptions, Query, QueryOutput};
-use modelfinder::{obs, Options, QueryRecord, SessionPool, Verdict};
+use modelfinder::{Options, QueryRecord, SessionPool, Verdict};
 
 /// The axioms checked per (scope mode, bound), in sweep order.
 const AXIOMS: [&str; 3] = ["Coherence", "Atomicity", "SC"];
 
 /// Runs the full (mode × bound × axiom) sweep on either the scratch or
-/// the incremental path, streaming records to `on_record`.
+/// the incremental path under `options`, streaming records to
+/// `on_record`.
 pub fn run_sweep(
     bounds: &[usize],
-    jobs: usize,
-    timeout: Option<Duration>,
     sessions: bool,
-    reg: &obs::Registry,
-    tracer: &obs::trace::Tracer,
+    options: &HarnessOptions,
     on_record: impl FnMut(&QueryRecord),
 ) -> Vec<QueryRecord> {
     // One incremental session per (mode, bound) key and worker; workers
@@ -62,14 +59,7 @@ pub fn run_sweep(
             }
         }
     }
-    let options = HarnessOptions {
-        jobs,
-        timeout,
-        obs: reg.clone(),
-        trace: tracer.clone(),
-        ..HarnessOptions::default()
-    };
-    run_queries(queries, &options, on_record)
+    run_queries(queries, options, on_record)
 }
 
 /// Converts a verification row into a harness record payload. Session

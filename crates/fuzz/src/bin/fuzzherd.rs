@@ -34,7 +34,6 @@
 
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use fuzzkit::litmusgen::CertSession;
 use fuzzkit::{
@@ -42,70 +41,15 @@ use fuzzkit::{
 };
 use litmus::sat::Signature;
 use modelfinder::harness::{run_queries, HarnessOptions, Query, QueryOutput};
+use modelfinder::obs::cli::{Cli, Flag};
 use modelfinder::SessionPool;
 
-struct Cli {
-    rounds: u64,
-    seed: u64,
-    jobs: usize,
-    timeout_secs: Option<u64>,
-    json: bool,
-    stats: bool,
-    stats_json: Option<String>,
-    trace_out: Option<String>,
-}
-
-fn parse_args(args: &[String]) -> Result<Cli, String> {
-    let mut cli = Cli {
-        rounds: 100,
-        seed: 7,
-        jobs: 1,
-        timeout_secs: None,
-        json: false,
-        stats: false,
-        stats_json: None,
-        trace_out: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => cli.json = true,
-            "--stats" => cli.stats = true,
-            "--stats-json" => {
-                let v = it.next().ok_or("--stats-json needs a path")?;
-                cli.stats_json = Some(v.clone());
-            }
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out needs a path")?;
-                cli.trace_out = Some(v.clone());
-            }
-            "--rounds" => {
-                let v = it.next().ok_or("--rounds needs a value")?;
-                cli.rounds = v.parse().map_err(|_| format!("bad --rounds value `{v}`"))?;
-            }
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                cli.seed = parse_seed(v)?;
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                cli.jobs = v.parse().map_err(|_| format!("bad --jobs value `{v}`"))?;
-                if cli.jobs == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-            }
-            "--timeout-secs" => {
-                let v = it.next().ok_or("--timeout-secs needs a value")?;
-                cli.timeout_secs = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --timeout-secs value `{v}`"))?,
-                );
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(cli)
-}
+static CLI: Cli = Cli {
+    prog: "fuzzherd",
+    usage: "[--rounds N] [--seed S]",
+    flags: Flag::ALL,
+    stats_to_stderr: false,
+};
 
 fn parse_seed(v: &str) -> Result<u64, String> {
     let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
@@ -149,49 +93,51 @@ fn output(
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_args(&args) {
-        Ok(cli) => cli,
-        Err(e) => {
-            eprintln!("fuzzherd: {e}");
-            eprintln!(
-                "usage: fuzzherd [--rounds N] [--seed S] [--jobs N] [--timeout-secs S] \
-                 [--json] [--stats] [--stats-json PATH] [--trace-out PATH]"
-            );
-            return ExitCode::FAILURE;
+    let mut rounds = 100u64;
+    let mut base_seed = 7u64;
+    let parsed = CLI.parse(std::env::args().skip(1), |arg, rest| {
+        match arg {
+            "--rounds" => rounds = rest.parse(arg)?,
+            "--seed" => base_seed = parse_seed(&rest.value(arg)?)?,
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    let run = match parsed {
+        Ok(run) => run,
+        Err(e) => return CLI.fail(&e),
     };
 
     let pool: Arc<SessionPool<Signature, CertSession>> = Arc::new(SessionPool::new());
     let model_pool: Arc<SessionPool<modelgen::PoolKey, CertSession>> = Arc::new(SessionPool::new());
     let failures: Arc<Mutex<Vec<Disagreement>>> = Arc::new(Mutex::new(Vec::new()));
     let mut queries = Vec::new();
-    for round in 0..cli.rounds {
+    for round in 0..rounds {
         let f = Arc::clone(&failures);
-        let seed = round_seed(cli.seed, "cnf", round);
+        let seed = round_seed(base_seed, "cnf", round);
         queries.push(Query::new(format!("cnf/{round}"), move |ctx| {
             output(cnf::run_round(seed), &f, &ctx.obs)
         }));
         let f = Arc::clone(&failures);
-        let seed = round_seed(cli.seed, "relform", round);
+        let seed = round_seed(base_seed, "relform", round);
         queries.push(Query::new(format!("relform/{round}"), move |ctx| {
             output(relform::run_round(seed), &f, &ctx.obs)
         }));
         let f = Arc::clone(&failures);
         let p = Arc::clone(&pool);
-        let seed = round_seed(cli.seed, "litmusgen", round);
+        let seed = round_seed(base_seed, "litmusgen", round);
         queries.push(Query::new(format!("litmus/{round}"), move |ctx| {
             output(litmusgen::run_round(seed, &p), &f, &ctx.obs)
         }));
         let f = Arc::clone(&failures);
         let p = Arc::clone(&pool);
-        let seed = round_seed(cli.seed, "barriergen", round);
+        let seed = round_seed(base_seed, "barriergen", round);
         queries.push(Query::new(format!("barrier/{round}"), move |ctx| {
             output(barriergen::run_round(seed, &p), &f, &ctx.obs)
         }));
         let f = Arc::clone(&failures);
         let p = Arc::clone(&model_pool);
-        let seed = round_seed(cli.seed, "modelgen", round);
+        let seed = round_seed(base_seed, "modelgen", round);
         queries.push(Query::new(format!("model/{round}"), move |ctx| {
             let result = modelgen::run_round(seed, &p).map(|(stats, diverged)| {
                 if diverged {
@@ -203,28 +149,13 @@ fn main() -> ExitCode {
         }));
     }
 
-    let stats_wanted = cli.stats || cli.stats_json.is_some();
-    let reg = if stats_wanted {
-        modelfinder::obs::Registry::new()
-    } else {
-        modelfinder::obs::Registry::disabled()
-    };
-    let tracer = if cli.trace_out.is_some() {
-        modelfinder::obs::trace::Tracer::for_export()
-    } else {
-        modelfinder::obs::trace::Tracer::flight_recorder()
-    };
-    let options = HarnessOptions {
-        jobs: cli.jobs,
-        timeout: cli.timeout_secs.map(Duration::from_secs),
-        obs: reg.clone(),
-        trace: tracer.clone(),
-        ..HarnessOptions::default()
-    };
-    let json = cli.json;
+    let options = HarnessOptions::for_run(&run);
+    let json = run.json;
     let records = run_queries(queries, &options, |rec| {
         let generator = rec.name.split('/').next().unwrap_or("unknown");
-        reg.merge_prefixed(&rec.obs, &format!("gen.{generator}."));
+        options
+            .obs
+            .merge_prefixed(&rec.obs, &format!("gen.{generator}."));
         if json {
             println!("{}", rec.to_json());
         } else if rec.verdict != "Ok" {
@@ -249,7 +180,7 @@ fn main() -> ExitCode {
         println!(
             "fuzzherd: {} rounds x 5 generators, {} disagreements, {} timeouts \
              (litmus sessions: {} created, {} reused; model sessions: {} created, {} reused)",
-            cli.rounds,
+            rounds,
             failures.len(),
             timeouts,
             created,
@@ -258,30 +189,15 @@ fn main() -> ExitCode {
             m_reused
         );
     }
-    if stats_wanted {
-        let snap = reg.snapshot();
-        if let Some(path) = &cli.stats_json {
-            if let Err(e) = std::fs::write(path, snap.to_jsonl()) {
-                eprintln!("fuzzherd: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        if cli.stats {
-            print!("{}", snap.render_table());
-        }
+    let write_failures = run.finish(&options.obs.snapshot(), || {
+        options.trace.snapshot().to_chrome_json()
+    });
+    for d in failures.iter() {
+        eprintln!("{d}");
     }
-    if let Some(path) = &cli.trace_out {
-        if let Err(e) = std::fs::write(path, tracer.snapshot().to_chrome_json()) {
-            eprintln!("fuzzherd: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if failures.is_empty() {
+    if failures.is_empty() && write_failures == 0 {
         ExitCode::SUCCESS
     } else {
-        for d in failures.iter() {
-            eprintln!("{d}");
-        }
         ExitCode::FAILURE
     }
 }

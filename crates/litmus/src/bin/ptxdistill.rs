@@ -36,142 +36,89 @@ use litmus::distill::{
 };
 use litmus::{canonical_ptx_text, format_ptx_litmus, Model};
 use modelfinder::harness::{run_queries, HarnessOptions, Query, QueryOutput};
+use modelfinder::obs::cli::{Cli, Flag, RunFlags};
 use modelfinder::Options;
 
-struct Cli {
+static CLI: Cli = Cli {
+    prog: "ptxdistill",
+    usage: "[--models ptx,ptx-cumulative] [--max-bound N] [--min-bound N] \
+            [--threads N] [--witnesses N] [--emit-dir DIR]",
+    flags: Flag::ALL,
+    stats_to_stderr: true,
+};
+
+/// `ptxdistill`'s own arguments; the shared ones are in [`RunFlags`].
+struct Search {
     models: (Model, Model),
     max_bound: usize,
     min_bound: usize,
     threads: usize,
     witnesses: usize,
     emit_dir: Option<String>,
-    jobs: usize,
-    timeout_secs: Option<u64>,
-    json: bool,
-    stats: bool,
-    stats_json: Option<String>,
-    trace_out: Option<String>,
 }
 
-fn parse_args(args: &[String]) -> Result<Cli, String> {
-    let mut cli = Cli {
+fn parse_models(v: &str) -> Result<(Model, Model), String> {
+    let parts: Vec<&str> = v.split(',').collect();
+    if parts.len() != 2 {
+        return Err(format!(
+            "--models wants two comma-separated models, got `{v}`"
+        ));
+    }
+    let a = Model::parse(parts[0]).ok_or(format!("unknown model `{}`", parts[0]))?;
+    let b = Model::parse(parts[1]).ok_or(format!("unknown model `{}`", parts[1]))?;
+    if a == b {
+        return Err("--models wants two distinct models".to_string());
+    }
+    Ok((a, b))
+}
+
+fn parse_args() -> Result<(RunFlags, Search), String> {
+    let mut search = Search {
         models: (Model::Axiomatic, Model::Cumulative),
         max_bound: 6,
         min_bound: 3,
         threads: 2,
         witnesses: 16,
         emit_dir: None,
-        jobs: 1,
-        timeout_secs: None,
-        json: false,
-        stats: false,
-        stats_json: None,
-        trace_out: None,
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => cli.json = true,
-            "--stats" => cli.stats = true,
-            "--models" => {
-                let v = it
-                    .next()
-                    .ok_or("--models needs a value like ptx,ptx-cumulative")?;
-                let parts: Vec<&str> = v.split(',').collect();
-                if parts.len() != 2 {
-                    return Err(format!(
-                        "--models wants two comma-separated models, got `{v}`"
-                    ));
-                }
-                let a = Model::parse(parts[0]).ok_or(format!("unknown model `{}`", parts[0]))?;
-                let b = Model::parse(parts[1]).ok_or(format!("unknown model `{}`", parts[1]))?;
-                if a == b {
-                    return Err("--models wants two distinct models".to_string());
-                }
-                cli.models = (a, b);
-            }
-            "--max-bound" => {
-                let v = it.next().ok_or("--max-bound needs a value")?;
-                cli.max_bound = v.parse().map_err(|_| format!("bad --max-bound `{v}`"))?;
-            }
-            "--min-bound" => {
-                let v = it.next().ok_or("--min-bound needs a value")?;
-                cli.min_bound = v.parse().map_err(|_| format!("bad --min-bound `{v}`"))?;
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                cli.threads = v.parse().map_err(|_| format!("bad --threads `{v}`"))?;
-                if cli.threads == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-            }
-            "--witnesses" => {
-                let v = it.next().ok_or("--witnesses needs a value")?;
-                cli.witnesses = v.parse().map_err(|_| format!("bad --witnesses `{v}`"))?;
-            }
-            "--emit-dir" => {
-                let v = it.next().ok_or("--emit-dir needs a path")?;
-                cli.emit_dir = Some(v.clone());
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                cli.jobs = v.parse().map_err(|_| format!("bad --jobs `{v}`"))?;
-                if cli.jobs == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-            }
-            "--timeout-secs" => {
-                let v = it.next().ok_or("--timeout-secs needs a value")?;
-                cli.timeout_secs =
-                    Some(v.parse().map_err(|_| format!("bad --timeout-secs `{v}`"))?);
-            }
-            "--stats-json" => {
-                let v = it.next().ok_or("--stats-json needs a path")?;
-                cli.stats_json = Some(v.clone());
-            }
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out needs a path")?;
-                cli.trace_out = Some(v.clone());
-            }
-            other => return Err(format!("unknown flag `{other}`")),
+    let run = CLI.parse(std::env::args().skip(1), |arg, rest| {
+        match arg {
+            "--models" => search.models = parse_models(&rest.value(arg)?)?,
+            "--max-bound" => search.max_bound = rest.parse(arg)?,
+            "--min-bound" => search.min_bound = rest.parse(arg)?,
+            "--threads" => search.threads = rest.positive(arg)?,
+            "--witnesses" => search.witnesses = rest.parse(arg)?,
+            "--emit-dir" => search.emit_dir = Some(rest.value(arg)?),
+            _ => return Ok(false),
         }
-    }
-    if cli.max_bound < cli.min_bound {
+        Ok(true)
+    })?;
+    if search.max_bound < search.min_bound {
         return Err("--max-bound must be at least --min-bound".to_string());
     }
-    Ok(cli)
+    Ok((run, search))
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_args(&args) {
-        Ok(cli) => cli,
-        Err(e) => {
-            eprintln!("ptxdistill: {e}");
-            eprintln!(
-                "usage: ptxdistill [--models ptx,ptx-cumulative] [--max-bound N] \
-                 [--min-bound N] [--threads N] [--witnesses N] [--emit-dir DIR] \
-                 [--jobs N] [--timeout-secs S] [--json] [--stats] \
-                 [--stats-json PATH] [--trace-out PATH]"
-            );
-            return ExitCode::FAILURE;
-        }
+    let (run, search) = match parse_args() {
+        Ok(parsed) => parsed,
+        Err(e) => return CLI.fail(&e),
     };
 
     // One harness query per search point; the synthesized (not yet
     // verified) tests land in a shared vector keyed by point index so
     // the result is deterministic regardless of completion order.
-    let points: Vec<SearchPoint> = litmus::search_points(cli.max_bound, cli.threads)
+    let points: Vec<SearchPoint> = litmus::search_points(search.max_bound, search.threads)
         .into_iter()
-        .filter(|p| p.events >= cli.min_bound)
+        .filter(|p| p.events >= search.min_bound)
         .filter(|p| {
             let pair = (p.consistent, p.inconsistent);
-            pair == cli.models || pair == (cli.models.1, cli.models.0)
+            pair == search.models || pair == (search.models.1, search.models.0)
         })
         .collect();
     type FoundByPoint = Vec<(usize, Vec<Synthesized>)>;
     let found: Arc<Mutex<FoundByPoint>> = Arc::new(Mutex::new(Vec::new()));
-    let witnesses = cli.witnesses;
+    let witnesses = search.witnesses;
     let queries: Vec<Query> = points
         .iter()
         .enumerate()
@@ -204,26 +151,11 @@ fn main() -> ExitCode {
         })
         .collect();
 
-    let stats_wanted = cli.stats || cli.stats_json.is_some();
-    let reg = if stats_wanted {
-        modelfinder::obs::Registry::new()
-    } else {
-        modelfinder::obs::Registry::disabled()
-    };
-    let tracer = if cli.trace_out.is_some() {
-        modelfinder::obs::trace::Tracer::for_export()
-    } else {
-        modelfinder::obs::trace::Tracer::flight_recorder()
-    };
-    let options = HarnessOptions {
-        jobs: cli.jobs,
-        timeout: cli.timeout_secs.map(std::time::Duration::from_secs),
-        obs: reg.clone(),
-        trace: tracer.clone(),
-        ..HarnessOptions::default()
-    };
+    let options = HarnessOptions::for_run(&run);
     let records = run_queries(queries, &options, |rec| {
-        reg.merge_prefixed(&rec.obs, &format!("point.{}.", rec.name));
+        options
+            .obs
+            .merge_prefixed(&rec.obs, &format!("point.{}.", rec.name));
         eprintln!(
             "{:<28} {:<8} {:>9.3}s{}{}",
             rec.name,
@@ -284,7 +216,7 @@ fn main() -> ExitCode {
         *seq += 1;
     }
 
-    if let Some(dir) = &cli.emit_dir {
+    if let Some(dir) = &search.emit_dir {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("ptxdistill: cannot create {dir}: {e}");
             return ExitCode::FAILURE;
@@ -299,7 +231,7 @@ fn main() -> ExitCode {
     }
 
     for (point, rt) in &kept {
-        if cli.json {
+        if run.json {
             let mut s = String::from("{\"test\":");
             modelfinder::harness::json_string(&mut s, &rt.test.name);
             s.push_str(&format!(
@@ -331,34 +263,19 @@ fn main() -> ExitCode {
             );
         }
     }
-    if !cli.json {
+    if !run.json {
         println!(
             "searched {} points to bound {}, lifted {} tests, {} distinguishing",
             points.len(),
-            cli.max_bound,
+            search.max_bound,
             lifted,
             kept.len()
         );
     }
 
-    if stats_wanted {
-        let snap = reg.snapshot();
-        if let Some(path) = &cli.stats_json {
-            if let Err(e) = std::fs::write(path, snap.to_jsonl()) {
-                eprintln!("ptxdistill: cannot write {path}: {e}");
-                failures += 1;
-            }
-        }
-        if cli.stats {
-            eprint!("{}", snap.render_table());
-        }
-    }
-    if let Some(path) = &cli.trace_out {
-        if let Err(e) = std::fs::write(path, tracer.snapshot().to_chrome_json()) {
-            eprintln!("ptxdistill: cannot write {path}: {e}");
-            failures += 1;
-        }
-    }
+    failures += run.finish(&options.obs.snapshot(), || {
+        options.trace.snapshot().to_chrome_json()
+    });
 
     if failures > 0 {
         ExitCode::FAILURE

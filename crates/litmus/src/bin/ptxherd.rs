@@ -51,80 +51,48 @@ use std::sync::Arc;
 use litmus::sat::{self, SatSession, Signature};
 use litmus::{library, parse_c11_litmus, parse_ptx_litmus, run_ptx, run_rc11, Expectation};
 use modelfinder::harness::{run_queries, HarnessOptions, Query, QueryOutput};
+use modelfinder::obs::cli::{Cli, Flag, RunFlags};
 use modelfinder::SessionPool;
 
-struct Cli {
+static CLI: Cli = Cli {
+    prog: "ptxherd",
+    usage: "[--sat] [--server ADDR] <file.litmus>… | --suite",
+    flags: Flag::ALL,
+    stats_to_stderr: false,
+};
+
+/// `ptxherd`'s own arguments; the shared ones are in [`RunFlags`].
+struct Input {
     suite: bool,
     server: Option<String>,
-    jobs: usize,
-    timeout_secs: Option<u64>,
-    json: bool,
     sat: bool,
-    stats: bool,
-    stats_json: Option<String>,
-    trace_out: Option<String>,
     files: Vec<String>,
 }
 
-fn parse_args(args: &[String]) -> Result<Cli, String> {
-    let mut cli = Cli {
+fn parse_args() -> Result<(RunFlags, Input), String> {
+    let mut input = Input {
         suite: false,
         server: None,
-        jobs: 1,
-        timeout_secs: None,
-        json: false,
         sat: false,
-        stats: false,
-        stats_json: None,
-        trace_out: None,
         files: Vec::new(),
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--suite" => cli.suite = true,
-            "--json" => cli.json = true,
-            "--sat" => cli.sat = true,
-            "--stats" => cli.stats = true,
-            "--stats-json" => {
-                let v = it.next().ok_or("--stats-json needs a path")?;
-                cli.stats_json = Some(v.clone());
-            }
-            "--trace-out" => {
-                let v = it.next().ok_or("--trace-out needs a path")?;
-                cli.trace_out = Some(v.clone());
-            }
-            "--server" => {
-                let v = it.next().ok_or("--server needs an address")?;
-                cli.server = Some(v.clone());
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                cli.jobs = v.parse().map_err(|_| format!("bad --jobs value `{v}`"))?;
-                if cli.jobs == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-            }
-            "--timeout-secs" => {
-                let v = it.next().ok_or("--timeout-secs needs a value")?;
-                cli.timeout_secs = Some(
-                    v.parse()
-                        .map_err(|_| format!("bad --timeout-secs value `{v}`"))?,
-                );
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag `{other}`"));
-            }
-            path => cli.files.push(path.to_string()),
+    let run = CLI.parse(std::env::args().skip(1), |arg, rest| {
+        match arg {
+            "--suite" => input.suite = true,
+            "--sat" => input.sat = true,
+            "--server" => input.server = Some(rest.value(arg)?),
+            path if !path.starts_with("--") => input.files.push(path.to_string()),
+            _ => return Ok(false),
         }
-    }
-    if !cli.suite && cli.files.is_empty() {
+        Ok(true)
+    })?;
+    if !input.suite && input.files.is_empty() {
         return Err("no input: pass litmus files or --suite".to_string());
     }
-    if cli.server.is_some() && cli.trace_out.is_some() {
+    if input.server.is_some() && run.trace_out.is_some() {
         return Err("--server does not combine with --trace-out".to_string());
     }
-    Ok(cli)
+    Ok((run, input))
 }
 
 enum AnyTest {
@@ -166,34 +134,22 @@ fn load_file(path: &str) -> Result<AnyTest, String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        eprintln!(
-            "usage: ptxherd [--jobs N] [--timeout-secs S] [--json] [--sat] \
-             [--server ADDR] [--stats] [--stats-json PATH] [--trace-out PATH] \
-             <file.litmus>… | --suite"
-        );
-        return ExitCode::FAILURE;
-    }
-    let cli = match parse_args(&args) {
-        Ok(cli) => cli,
-        Err(e) => {
-            eprintln!("ptxherd: {e}");
-            return ExitCode::FAILURE;
-        }
+    let (run, input) = match parse_args() {
+        Ok(parsed) => parsed,
+        Err(e) => return CLI.fail(&e),
     };
 
-    if let Some(addr) = cli.server.clone() {
-        return run_server_mode(&addr, &cli);
+    if let Some(addr) = &input.server {
+        return run_server_mode(addr, &run, &input);
     }
 
     let mut tests: Vec<AnyTest> = Vec::new();
     let mut failures = 0usize;
-    if cli.suite {
+    if input.suite {
         tests.extend(library::extended_suite().into_iter().map(AnyTest::Ptx));
         tests.extend(library::c11_suite().into_iter().map(AnyTest::C11));
     }
-    for path in &cli.files {
+    for path in &input.files {
         match load_file(path) {
             Ok(t) => tests.push(t),
             Err(e) => {
@@ -205,13 +161,12 @@ fn main() -> ExitCode {
 
     // The herd-style detailed report stays the default single-threaded
     // behavior; any harness flag switches to the one-line-per-test sweep.
-    let stats_wanted = cli.stats || cli.stats_json.is_some();
-    let use_harness = cli.jobs > 1
-        || cli.timeout_secs.is_some()
-        || cli.json
-        || cli.sat
-        || stats_wanted
-        || cli.trace_out.is_some();
+    let use_harness = run.jobs.is_some_and(|j| j > 1)
+        || run.timeout_secs.is_some()
+        || run.json
+        || input.sat
+        || run.stats_wanted()
+        || run.trace_out.is_some();
     if !use_harness {
         for test in &tests {
             let ok = match test {
@@ -231,7 +186,7 @@ fn main() -> ExitCode {
             .map(|test| {
                 let name = test.name().to_string();
                 let pool = Arc::clone(&pool);
-                let sat_mode = cli.sat;
+                let sat_mode = input.sat;
                 Query::new(name, move |ctx| match &test {
                     AnyTest::Ptx(t) if sat_mode => sat_output(&pool, t, ctx),
                     AnyTest::Ptx(t) => {
@@ -247,30 +202,12 @@ fn main() -> ExitCode {
                 })
             })
             .collect();
-        let reg = if stats_wanted {
-            modelfinder::obs::Registry::new()
-        } else {
-            modelfinder::obs::Registry::disabled()
-        };
-        // With --trace-out the per-thread rings are sized so the full
-        // timeline survives; otherwise the default flight recorder keeps
-        // only a bounded tail for timeout autopsies.
-        let tracer = if cli.trace_out.is_some() {
-            modelfinder::obs::trace::Tracer::for_export()
-        } else {
-            modelfinder::obs::trace::Tracer::flight_recorder()
-        };
-        let options = HarnessOptions {
-            jobs: cli.jobs,
-            timeout: cli.timeout_secs.map(std::time::Duration::from_secs),
-            obs: reg.clone(),
-            trace: tracer.clone(),
-            ..HarnessOptions::default()
-        };
-        let json = cli.json;
+        let options = HarnessOptions::for_run(&run);
         let records = run_queries(queries, &options, |rec| {
-            reg.merge_prefixed(&rec.obs, &format!("test.{}.", rec.name));
-            if json {
+            options
+                .obs
+                .merge_prefixed(&rec.obs, &format!("test.{}.", rec.name));
+            if run.json {
                 println!("{}", rec.to_json());
             } else {
                 println!(
@@ -287,18 +224,12 @@ fn main() -> ExitCode {
         });
         failures += records.iter().filter(|r| r.verdict == "FAILED").count();
         let timeouts = records.iter().filter(|r| r.timed_out).count();
-        if !json && timeouts > 0 {
+        if !run.json && timeouts > 0 {
             eprintln!("{timeouts} test(s) timed out (reported as Unknown)");
         }
-        if stats_wanted {
-            failures += emit_stats(&cli, &reg.snapshot());
-        }
-        if let Some(path) = &cli.trace_out {
-            if let Err(e) = std::fs::write(path, tracer.snapshot().to_chrome_json()) {
-                eprintln!("ptxherd: cannot write {path}: {e}");
-                failures += 1;
-            }
-        }
+        failures += run.finish(&options.obs.snapshot(), || {
+            options.trace.snapshot().to_chrome_json()
+        });
     }
 
     if failures > 0 {
@@ -315,10 +246,10 @@ fn main() -> ExitCode {
 /// pipelined over one connection before the first reply is read, and
 /// replies — which may arrive out of order when the server batches —
 /// are matched back by `id` and printed in input order.
-fn run_server_mode(addr: &str, cli: &Cli) -> ExitCode {
+fn run_server_mode(addr: &str, run: &RunFlags, input: &Input) -> ExitCode {
     let mut sources: Vec<(String, String)> = Vec::new();
     let mut failures = 0usize;
-    if cli.suite {
+    if input.suite {
         for t in library::extended_suite() {
             sources.push((t.name.clone(), litmus::canon::format_ptx_litmus(&t)));
         }
@@ -326,7 +257,7 @@ fn run_server_mode(addr: &str, cli: &Cli) -> ExitCode {
             sources.push((t.name.clone(), litmus::canon::format_c11_litmus(&t)));
         }
     }
-    for path in &cli.files {
+    for path in &input.files {
         match std::fs::read_to_string(path) {
             Ok(text) => sources.push((path.clone(), text)),
             Err(e) => {
@@ -343,7 +274,7 @@ fn run_server_mode(addr: &str, cli: &Cli) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let deadline_ms = cli.timeout_secs.map(|s| s.saturating_mul(1000));
+    let deadline_ms = run.timeout_secs.map(|s| s.saturating_mul(1000));
     for (i, (name, source)) in sources.iter().enumerate() {
         if let Err(e) = client.send_run(i as u64, source, deadline_ms) {
             eprintln!("ptxherd: send {name}: {e}");
@@ -383,7 +314,7 @@ fn run_server_mode(addr: &str, cli: &Cli) -> ExitCode {
             }
             Some(r) => {
                 failures += usize::from(r.verdict.as_deref() == Some("FAILED"));
-                if cli.json {
+                if run.json {
                     println!("{}", r.to_record_json());
                 } else {
                     println!(
@@ -403,9 +334,10 @@ fn run_server_mode(addr: &str, cli: &Cli) -> ExitCode {
         }
     }
 
-    if cli.stats || cli.stats_json.is_some() {
+    if run.stats_wanted() {
         match client.stats_v2() {
-            Ok(snap) => failures += emit_stats(cli, &snap),
+            // --trace-out is refused with --server, so there is no trace.
+            Ok(snap) => failures += run.finish(&snap, String::new),
             Err(e) => {
                 eprintln!("ptxherd: stats query failed: {e}");
                 failures += 1;
@@ -478,24 +410,6 @@ fn sat_output(
     // root on interruption), so the session is safe to reuse either way.
     pool.checkin(sig, session);
     out
-}
-
-/// Writes `snap` as `--stats-json` JSON Lines and prints it for
-/// `--stats`; returns the number of failed writes.
-fn emit_stats(cli: &Cli, snap: &modelfinder::obs::Snapshot) -> usize {
-    if cli.stats {
-        print!("{}", snap.render_table());
-    }
-    let Some(path) = &cli.stats_json else {
-        return 0;
-    };
-    match std::fs::write(path, snap.to_jsonl()) {
-        Ok(()) => 0,
-        Err(e) => {
-            eprintln!("ptxherd: cannot write {path}: {e}");
-            1
-        }
-    }
 }
 
 /// Maps a litmus result onto a harness record payload.

@@ -29,9 +29,14 @@
 //! single-job runs; wall-clock *durations* are not, which is why the
 //! JSONL schema keeps them under a separate `"timing"` kind that diff
 //! tooling excludes by default.
+//!
+//! [`cli`] parses the run flags the command-line drivers share
+//! (`--jobs`, `--stats`, `--trace-out`, ...) and writes the stats and
+//! trace they ask for at exit.
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod json;
 pub mod trace;
 

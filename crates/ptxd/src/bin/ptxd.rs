@@ -20,108 +20,55 @@
 
 use std::process::ExitCode;
 
+use obs::cli::{Cli, Flag};
 use ptxd::signal::SignalFd;
 use ptxd::{Config, Server};
 
-struct Cli {
-    cfg: Config,
-    port_file: Option<String>,
-    stats_json: Option<String>,
-    trace_out: Option<String>,
-}
-
-fn parse_args(args: &[String]) -> Result<Cli, String> {
-    let mut cli = Cli {
-        cfg: Config::default(),
-        port_file: None,
-        stats_json: None,
-        trace_out: None,
-    };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--listen" => {
-                cli.cfg.addr = it.next().ok_or("--listen needs an address")?.clone();
-            }
-            "--port-file" => {
-                cli.port_file = Some(it.next().ok_or("--port-file needs a path")?.clone());
-            }
-            "--jobs" => {
-                let v = it.next().ok_or("--jobs needs a value")?;
-                cli.cfg.jobs = v.parse().map_err(|_| format!("bad --jobs value `{v}`"))?;
-                if cli.cfg.jobs == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-            }
-            "--queue-bound" => {
-                let v = it.next().ok_or("--queue-bound needs a value")?;
-                cli.cfg.queue_bound = v
-                    .parse()
-                    .map_err(|_| format!("bad --queue-bound value `{v}`"))?;
-            }
-            "--fair-cap" => {
-                let v = it.next().ok_or("--fair-cap needs a value")?;
-                cli.cfg.fair_cap = v
-                    .parse()
-                    .map_err(|_| format!("bad --fair-cap value `{v}`"))?;
-            }
-            "--cache-cap" => {
-                let v = it.next().ok_or("--cache-cap needs a value")?;
-                cli.cfg.cache_cap = v
-                    .parse()
-                    .map_err(|_| format!("bad --cache-cap value `{v}`"))?;
-            }
-            "--access-log" => {
-                cli.cfg.access_log = Some(it.next().ok_or("--access-log needs a path")?.clone());
-            }
-            "--log-ring" => {
-                let v = it.next().ok_or("--log-ring needs a value")?;
-                cli.cfg.log_ring = v
-                    .parse()
-                    .map_err(|_| format!("bad --log-ring value `{v}`"))?;
-            }
-            "--certify" => cli.cfg.certify = true,
-            "--debug-ops" => cli.cfg.debug_ops = true,
-            "--stats-json" => {
-                cli.stats_json = Some(it.next().ok_or("--stats-json needs a path")?.clone());
-            }
-            "--trace-out" => {
-                cli.trace_out = Some(it.next().ok_or("--trace-out needs a path")?.clone());
-            }
-            other => return Err(format!("unknown flag `{other}`")),
-        }
-    }
-    Ok(cli)
-}
+static CLI: Cli = Cli {
+    prog: "ptxd",
+    usage: "[--listen ADDR] [--port-file PATH] [--queue-bound N] [--fair-cap N] \
+            [--cache-cap N] [--access-log PATH] [--log-ring N] [--certify] [--debug-ops]",
+    flags: &[Flag::Jobs, Flag::StatsJson, Flag::TraceOut],
+    stats_to_stderr: false,
+};
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match parse_args(&args) {
-        Ok(cli) => cli,
-        Err(e) => {
-            eprintln!(
-                "ptxd: {e}\nusage: ptxd [--listen ADDR] [--port-file PATH] [--jobs N] \
-                 [--queue-bound N] [--fair-cap N] [--cache-cap N] \
-                 [--access-log PATH] [--log-ring N] [--certify] \
-                 [--debug-ops] [--stats-json PATH] [--trace-out PATH]"
-            );
-            return ExitCode::FAILURE;
+    let mut cfg = Config::default();
+    let mut port_file: Option<String> = None;
+    let parsed = CLI.parse(std::env::args().skip(1), |arg, rest| {
+        match arg {
+            "--listen" => cfg.addr = rest.value(arg)?,
+            "--port-file" => port_file = Some(rest.value(arg)?),
+            "--queue-bound" => cfg.queue_bound = rest.parse(arg)?,
+            "--fair-cap" => cfg.fair_cap = rest.parse(arg)?,
+            "--cache-cap" => cfg.cache_cap = rest.parse(arg)?,
+            "--access-log" => cfg.access_log = Some(rest.value(arg)?),
+            "--log-ring" => cfg.log_ring = rest.parse(arg)?,
+            "--certify" => cfg.certify = true,
+            "--debug-ops" => cfg.debug_ops = true,
+            _ => return Ok(false),
         }
+        Ok(true)
+    });
+    let run = match parsed {
+        Ok(run) => run,
+        Err(e) => return CLI.fail(&e),
     };
+    cfg.jobs = run.jobs.unwrap_or(cfg.jobs);
 
     // The signal mask must be in place before any thread exists, so
     // every thread inherits it and TERM/INT route to the signalfd.
     let signal_fd = SignalFd::block_and_open();
 
-    let mut handle = match Server::spawn(cli.cfg.clone()) {
+    let mut handle = match Server::spawn(cfg.clone()) {
         Ok(h) => h,
         Err(e) => {
-            eprintln!("ptxd: cannot listen on {}: {e}", cli.cfg.addr);
+            eprintln!("ptxd: cannot listen on {}: {e}", cfg.addr);
             return ExitCode::FAILURE;
         }
     };
     eprintln!("ptxd: listening on {}", handle.addr());
-    if let Some(path) = &cli.port_file {
+    if let Some(path) = &port_file {
         if let Err(e) = std::fs::write(path, handle.addr()) {
             eprintln!("ptxd: cannot write {path}: {e}");
             return ExitCode::FAILURE;
@@ -140,23 +87,16 @@ fn main() -> ExitCode {
     }
 
     let snapshot = handle.join();
-    if let Some(path) = &cli.stats_json {
-        if let Err(e) = std::fs::write(path, snapshot.to_jsonl()) {
-            eprintln!("ptxd: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &cli.trace_out {
-        if let Err(e) = std::fs::write(path, handle.trace_chrome_json()) {
-            eprintln!("ptxd: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    let failures = run.finish(&snapshot, || handle.trace_chrome_json());
     eprintln!(
         "ptxd: drained; {} requests, {} cache hits, {} shed",
         snapshot.counter("ptxd.requests"),
         snapshot.counter("ptxd.cache_hits"),
         snapshot.counter("ptxd.shed"),
     );
-    ExitCode::SUCCESS
+    if failures > 0 {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }

@@ -17,55 +17,44 @@
 use std::io::Read;
 use std::process::ExitCode;
 
+use obs::cli::{Cli, Flag, RunFlags};
 use satsolver::{Cnf, Lit, SolveResult, Solver, SolverStats, Var};
 
+static CLI: Cli = Cli {
+    prog: "ptxsat",
+    usage: "[--reduce-interval N] <file.cnf | - | --pigeonhole N>",
+    flags: &[Flag::StatsJson],
+    stats_to_stderr: false,
+};
+
+/// `ptxsat`'s own arguments; the shared ones are in [`RunFlags`].
 struct Args {
     input: Option<String>,
     pigeonhole: Option<usize>,
     reduce_interval: Option<u64>,
-    stats_json: Option<String>,
 }
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: ptxsat [--reduce-interval N] [--stats-json PATH] <file.cnf | - | --pigeonhole N>"
-    );
-    ExitCode::FAILURE
-}
-
-fn parse_args() -> Result<Args, ExitCode> {
+fn parse_args() -> Result<(RunFlags, Args), String> {
     let mut args = Args {
         input: None,
         pigeonhole: None,
         reduce_interval: None,
-        stats_json: None,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--pigeonhole" => {
-                let n = it.next().and_then(|v| v.parse::<usize>().ok());
-                match n {
-                    Some(n) if n > 0 => args.pigeonhole = Some(n),
-                    _ => return Err(usage()),
-                }
+    let run = CLI.parse(std::env::args().skip(1), |arg, rest| {
+        match arg {
+            "--pigeonhole" => args.pigeonhole = Some(rest.positive(arg)?),
+            "--reduce-interval" => args.reduce_interval = Some(rest.parse(arg)?),
+            _ if args.input.is_none() && !arg.starts_with("--") => {
+                args.input = Some(arg.to_string());
             }
-            "--reduce-interval" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) => args.reduce_interval = Some(n),
-                None => return Err(usage()),
-            },
-            "--stats-json" => match it.next() {
-                Some(path) => args.stats_json = Some(path),
-                None => return Err(usage()),
-            },
-            _ if args.input.is_none() => args.input = Some(arg),
-            _ => return Err(usage()),
+            _ => return Ok(false),
         }
-    }
+        Ok(true)
+    })?;
     if args.input.is_some() == args.pigeonhole.is_some() {
-        return Err(usage());
+        return Err("pass exactly one of a CNF file, `-` or --pigeonhole N".to_string());
     }
-    Ok(args)
+    Ok((run, args))
 }
 
 /// The unsatisfiable pigeonhole principle PHP(n+1, n) as CNF: variable
@@ -95,7 +84,7 @@ fn pigeonhole(holes: usize) -> Cnf {
     }
 }
 
-fn write_stats(path: &str, stats: &SolverStats) -> Result<(), ExitCode> {
+fn stats_snapshot(stats: &SolverStats) -> obs::Snapshot {
     let reg = obs::Registry::new();
     reg.add("solver.propagations", stats.propagations);
     reg.add("solver.root_propagations", stats.root_propagations);
@@ -109,16 +98,13 @@ fn write_stats(path: &str, stats: &SolverStats) -> Result<(), ExitCode> {
     reg.add("solver.lbd_glue_learnts", stats.lbd_glue_learnts);
     reg.add("solver.reduce_sweeps", stats.reduce_sweeps);
     reg.add("solver.deleted_clauses", stats.deleted_clauses);
-    std::fs::write(path, reg.snapshot().to_jsonl()).map_err(|e| {
-        eprintln!("{path}: {e}");
-        ExitCode::FAILURE
-    })
+    reg.snapshot()
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(code) => return code,
+    let (run, args) = match parse_args() {
+        Ok(parsed) => parsed,
+        Err(e) => return CLI.fail(&e),
     };
     let cnf = if let Some(holes) = args.pigeonhole {
         pigeonhole(holes)
@@ -154,10 +140,9 @@ fn main() -> ExitCode {
     }
     let result = solver.solve();
     let stats = solver.stats();
-    if let Some(path) = &args.stats_json {
-        if let Err(code) = write_stats(path, &stats) {
-            return code;
-        }
+    // ptxsat takes no --trace-out, so there is no trace to write.
+    if run.finish(&stats_snapshot(&stats), String::new) > 0 {
+        return ExitCode::FAILURE;
     }
     match result {
         SolveResult::Sat => {

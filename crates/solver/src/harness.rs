@@ -277,6 +277,21 @@ impl Default for HarnessOptions {
     }
 }
 
+impl HarnessOptions {
+    /// The options a command line asks for: `--jobs` (default 1),
+    /// `--timeout-secs`, a recording registry under `--stats` or
+    /// `--stats-json`, and the export tracer under `--trace-out`.
+    pub fn for_run(run: &obs::cli::RunFlags) -> HarnessOptions {
+        HarnessOptions {
+            jobs: run.jobs.unwrap_or(1),
+            timeout: run.timeout(),
+            obs: run.registry(),
+            trace: run.tracer(),
+            ..HarnessOptions::default()
+        }
+    }
+}
+
 /// Runs every query, invoking `on_record` as each finishes (completion
 /// order), and returns the records in input order.
 ///
