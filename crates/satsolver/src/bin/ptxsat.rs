@@ -18,7 +18,7 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use obs::cli::{Cli, Flag, RunFlags};
-use satsolver::{Cnf, Lit, SolveResult, Solver, SolverStats, Var};
+use satsolver::{Cnf, Lit, SolveResult, Solver, Var};
 
 static CLI: Cli = Cli {
     prog: "ptxsat",
@@ -84,23 +84,6 @@ fn pigeonhole(holes: usize) -> Cnf {
     }
 }
 
-fn stats_snapshot(stats: &SolverStats) -> obs::Snapshot {
-    let reg = obs::Registry::new();
-    reg.add("solver.propagations", stats.propagations);
-    reg.add("solver.root_propagations", stats.root_propagations);
-    reg.add("solver.binary_propagations", stats.binary_propagations);
-    reg.add("solver.conflicts", stats.conflicts);
-    reg.add("solver.decisions", stats.decisions);
-    reg.add("solver.restarts", stats.restarts);
-    reg.add("solver.learnt_clauses", stats.learnt_clauses);
-    reg.add("solver.learnt_literals", stats.learnt_literals);
-    reg.add("solver.lbd_sum", stats.lbd_sum);
-    reg.add("solver.lbd_glue_learnts", stats.lbd_glue_learnts);
-    reg.add("solver.reduce_sweeps", stats.reduce_sweeps);
-    reg.add("solver.deleted_clauses", stats.deleted_clauses);
-    reg.snapshot()
-}
-
 fn main() -> ExitCode {
     let (run, args) = match parse_args() {
         Ok(parsed) => parsed,
@@ -141,7 +124,9 @@ fn main() -> ExitCode {
     let result = solver.solve();
     let stats = solver.stats();
     // ptxsat takes no --trace-out, so there is no trace to write.
-    if run.finish(&stats_snapshot(&stats), String::new) > 0 {
+    let reg = obs::Registry::new();
+    stats.record_obs(&reg);
+    if run.finish(&reg.snapshot(), String::new) > 0 {
         return ExitCode::FAILURE;
     }
     match result {

@@ -99,6 +99,43 @@ pub struct SolverStats {
     pub deleted_clauses: u64,
 }
 
+/// Implements the per-field operations of [`SolverStats`] from one list
+/// of its fields; each field's stat name is `solver.<field>`.
+macro_rules! solver_stats_fields {
+    ($($field:ident),* $(,)?) => {
+        impl SolverStats {
+            /// Adds every counter to `reg` under its `solver.<field>`
+            /// name (no-op for a disabled registry).
+            pub fn record_obs(&self, reg: &obs::Registry) {
+                $(reg.add(concat!("solver.", stringify!($field)), self.$field);)*
+            }
+
+            /// The work done since `before`, an earlier snapshot of the
+            /// same solver's cumulative counters.
+            pub fn since(&self, before: &SolverStats) -> SolverStats {
+                SolverStats {
+                    $($field: self.$field - before.$field,)*
+                }
+            }
+        }
+    };
+}
+
+solver_stats_fields!(
+    conflicts,
+    decisions,
+    propagations,
+    root_propagations,
+    binary_propagations,
+    restarts,
+    learnt_clauses,
+    learnt_literals,
+    lbd_sum,
+    lbd_glue_learnts,
+    reduce_sweeps,
+    deleted_clauses,
+);
+
 #[derive(Debug, Clone, Copy)]
 struct Watcher {
     cref: ClauseRef,
@@ -1182,6 +1219,31 @@ mod tests {
 
     fn lits(solver: &mut Solver, n: usize) -> Vec<Lit> {
         (0..n).map(|_| solver.new_var().positive()).collect()
+    }
+
+    #[test]
+    fn stats_record_every_field_and_subtract_fieldwise() {
+        let before = SolverStats {
+            conflicts: 1,
+            deleted_clauses: 2,
+            ..SolverStats::default()
+        };
+        let after = SolverStats {
+            conflicts: 5,
+            decisions: 7,
+            deleted_clauses: 2,
+            ..SolverStats::default()
+        };
+        let delta = after.since(&before);
+        assert_eq!((delta.conflicts, delta.decisions), (4, 7));
+        assert_eq!(delta.deleted_clauses, 0);
+        let reg = obs::Registry::new();
+        delta.record_obs(&reg);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters.len(), 12);
+        assert!(snap.counters.keys().all(|k| k.starts_with("solver.")));
+        assert_eq!(snap.counter("solver.conflicts"), 4);
+        assert_eq!(snap.counter("solver.decisions"), 7);
     }
 
     #[test]

@@ -199,19 +199,7 @@ impl Report {
         if self.symmetry_downgraded {
             reg.add("sym.downgraded", 1);
         }
-        let s = &self.solver_stats;
-        reg.add("solver.propagations", s.propagations);
-        reg.add("solver.root_propagations", s.root_propagations);
-        reg.add("solver.binary_propagations", s.binary_propagations);
-        reg.add("solver.conflicts", s.conflicts);
-        reg.add("solver.decisions", s.decisions);
-        reg.add("solver.restarts", s.restarts);
-        reg.add("solver.learnt_clauses", s.learnt_clauses);
-        reg.add("solver.learnt_literals", s.learnt_literals);
-        reg.add("solver.lbd_sum", s.lbd_sum);
-        reg.add("solver.lbd_glue_learnts", s.lbd_glue_learnts);
-        reg.add("solver.reduce_sweeps", s.reduce_sweeps);
-        reg.add("solver.deleted_clauses", s.deleted_clauses);
+        self.solver_stats.record_obs(reg);
         if let Some(proof) = &self.proof {
             reg.add("proof.drat_bytes", proof.drat_bytes());
         }

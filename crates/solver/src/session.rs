@@ -322,7 +322,7 @@ impl Session {
         drop(solve_span);
         report.solve_time = t2.elapsed();
         self.stats.solve_time += report.solve_time;
-        report.solver_stats = stats_delta(stats_before, self.solver.stats());
+        report.solver_stats = self.solver.stats().since(&stats_before);
 
         let verdict = match result {
             SolveResult::Unsat => {
@@ -487,25 +487,6 @@ impl Session {
     /// policies such as learnt-DB reduction actually fire.
     pub fn solver_stats(&self) -> SolverStats {
         self.solver.stats()
-    }
-}
-
-/// Per-query solver counters: the difference between two cumulative
-/// snapshots of one long-lived solver.
-fn stats_delta(before: SolverStats, after: SolverStats) -> SolverStats {
-    SolverStats {
-        conflicts: after.conflicts - before.conflicts,
-        decisions: after.decisions - before.decisions,
-        propagations: after.propagations - before.propagations,
-        root_propagations: after.root_propagations - before.root_propagations,
-        binary_propagations: after.binary_propagations - before.binary_propagations,
-        restarts: after.restarts - before.restarts,
-        learnt_clauses: after.learnt_clauses - before.learnt_clauses,
-        learnt_literals: after.learnt_literals - before.learnt_literals,
-        lbd_sum: after.lbd_sum - before.lbd_sum,
-        lbd_glue_learnts: after.lbd_glue_learnts - before.lbd_glue_learnts,
-        reduce_sweeps: after.reduce_sweeps - before.reduce_sweeps,
-        deleted_clauses: after.deleted_clauses - before.deleted_clauses,
     }
 }
 
@@ -708,7 +689,7 @@ mod tests {
             v.is_unsat(),
             "a total order on 6 atoms always has r;r ∩ r ≠ ∅"
         );
-        let late = stats_delta(before, session.solver.stats());
+        let late = session.solver.stats().since(&before);
         assert!(
             late.conflicts > 0,
             "late phase produced no conflicts; test needs harder queries"
