@@ -11,7 +11,6 @@ use relational::{Bounds, Formula, Instance, Schema, TypeError};
 use satsolver::{CancelToken, Interrupt, Solver, Var};
 
 use crate::session::Session;
-use crate::translate::ClosureStrategy;
 
 /// A bounded relational satisfiability problem.
 #[derive(Debug, Clone)]
@@ -27,8 +26,6 @@ pub struct Problem {
 /// Model finding options.
 #[derive(Debug, Clone, Default)]
 pub struct Options {
-    /// How to encode transitive closure.
-    pub closure: ClosureStrategy,
     /// Whether to add lex-leader symmetry-breaking predicates.
     ///
     /// Sound for satisfiability checks but removes isomorphic models, so it
@@ -396,21 +393,5 @@ mod tests {
             .unwrap();
         assert!(verdict.instance().is_some());
         assert_eq!(report.inputs, 0);
-    }
-
-    #[test]
-    fn closure_strategies_agree() {
-        let (problem, _) = simple_problem();
-        for strategy in [
-            ClosureStrategy::IterativeSquaring,
-            ClosureStrategy::Unrolled,
-        ] {
-            let opts = Options {
-                closure: strategy,
-                ..Options::default()
-            };
-            let (verdict, _) = ModelFinder::new(opts).solve(&problem).unwrap();
-            assert!(verdict.instance().is_some(), "{strategy:?}");
-        }
     }
 }

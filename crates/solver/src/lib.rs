@@ -39,4 +39,4 @@ pub use harness::{HarnessOptions, Query, QueryCtx, QueryOutput, QueryRecord, Ses
 pub use obs;
 pub use satsolver::{drat, hash, CancelToken, Interrupt, Lit, Proof, SolverStats};
 pub use session::{Session, SessionStats};
-pub use translate::{ClosureStrategy, IncrementalTranslator};
+pub use translate::IncrementalTranslator;

@@ -141,7 +141,7 @@ impl Session {
         let mut stats = SessionStats::default();
         let t0 = Instant::now();
         let translate_span = options.tracer.span("translate");
-        let mut translator = IncrementalTranslator::new(schema, bounds, options.closure);
+        let mut translator = IncrementalTranslator::new(schema, bounds);
         let mut base_root = translator.formula(base)?;
         let mut num_symmetry_classes = 0;
         let mut symmetry_downgraded = false;

@@ -4,11 +4,11 @@
 //! in the lower bound map to constant-true, tuples outside the upper bound
 //! are absent (constant-false), and tuples in between become free inputs.
 //! Relational operators combine matrices pointwise or by join; transitive
-//! closure uses iterative squaring (or naive unrolling, for the ablation
-//! study), sized by the *support* of the matrix being closed — the atoms
-//! in its non-false entries — rather than by the universe: no simple path
-//! or cycle over `k` atoms is longer than `k` edges, so the support bounds
-//! the squaring chain exactly. Formulas reduce to a single root gate.
+//! closure uses iterative squaring, sized by the *support* of the matrix
+//! being closed — the atoms in its non-false entries — rather than by the
+//! universe: no simple path or cycle over `k` atoms is longer than `k`
+//! edges, so `⌈log₂ k⌉` squarings cover every path exactly. Formulas
+//! reduce to a single root gate.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -16,18 +16,6 @@ use relational::ast::{Expr, Formula, VarId};
 use relational::{Atom, Bounds, Schema, Tuple, TupleSet, TypeError};
 
 use crate::circuit::{Circuit, GateId};
-
-/// Strategy for encoding transitive closure. Step counts are in terms of
-/// `k`, the support size of the matrix being closed (the number of atoms
-/// in its non-false entries), not the universe size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClosureStrategy {
-    /// `⌈log₂ k⌉` squaring steps: `r ← r ∪ r;r`.
-    #[default]
-    IterativeSquaring,
-    /// `k-1` linear unrolling steps: `acc ← r ∪ acc;r`.
-    Unrolled,
-}
 
 /// A sparse boolean matrix over tuples: the translated value of an
 /// expression. Tuples absent from `entries` are constant-false.
@@ -102,11 +90,7 @@ pub struct IncrementalTranslator {
 impl IncrementalTranslator {
     /// Creates a translator for `(schema, bounds)`, allocating the
     /// relation matrices.
-    pub fn new(
-        schema: &Schema,
-        bounds: &Bounds,
-        strategy: ClosureStrategy,
-    ) -> IncrementalTranslator {
+    pub fn new(schema: &Schema, bounds: &Bounds) -> IncrementalTranslator {
         let mut inner = Translator {
             schema: schema.clone(),
             bounds: bounds.clone(),
@@ -114,7 +98,6 @@ impl IncrementalTranslator {
             rel_matrices: Vec::new(),
             rel_inputs: Vec::new(),
             env: HashMap::new(),
-            strategy,
             bool_inputs: HashMap::new(),
             cells: 0,
         };
@@ -183,7 +166,6 @@ struct Translator {
     rel_matrices: Vec<Matrix>,
     rel_inputs: Vec<BTreeMap<Tuple, u32>>,
     env: HashMap<VarId, Atom>,
-    strategy: ClosureStrategy,
     /// Circuit input allocated for each free boolean, keyed by
     /// [`relational::BoolId`] index. Persistent across formulas so a
     /// `Free(b)` in two formulas of one session refers to the same input;
@@ -362,31 +344,20 @@ impl Translator {
         self.built(m)
     }
 
-    /// `^a`, covering paths of up to `k` edges where `k` is the support
-    /// size of `a`: any longer path revisits an atom, so it contains a
-    /// shorter path over a subset of its edges and adds nothing.
+    /// `^a` by iterative squaring (`r ← r ∪ r;r`), covering paths of up
+    /// to `k` edges where `k` is the support size of `a`: any longer path
+    /// revisits an atom, so it contains a shorter path over a subset of
+    /// its edges and adds nothing.
     fn closure(&mut self, a: &Matrix) -> Matrix {
         let k = a.support_size();
-        match self.strategy {
-            ClosureStrategy::IterativeSquaring => {
-                let mut acc = a.clone();
-                let mut span = 1usize;
-                while span < k {
-                    let squared = self.join(&acc, &acc);
-                    acc = self.union(&acc, &squared);
-                    span *= 2;
-                }
-                acc
-            }
-            ClosureStrategy::Unrolled => {
-                let mut acc = a.clone();
-                for _ in 1..k {
-                    let step = self.join(&acc, a);
-                    acc = self.union(a, &step);
-                }
-                acc
-            }
+        let mut acc = a.clone();
+        let mut span = 1usize;
+        while span < k {
+            let squared = self.join(&acc, &acc);
+            acc = self.union(&acc, &squared);
+            span *= 2;
         }
+        acc
     }
 
     fn formula(&mut self, f: &Formula) -> Result<GateId, TypeError> {
@@ -517,7 +488,7 @@ mod tests {
 
     /// Translates `f` with a fresh translator, returning it and the root.
     fn translate(schema: &Schema, bounds: &Bounds, f: &Formula) -> (IncrementalTranslator, GateId) {
-        let mut tr = IncrementalTranslator::new(schema, bounds, ClosureStrategy::default());
+        let mut tr = IncrementalTranslator::new(schema, bounds);
         let root = tr.formula(f).unwrap();
         (tr, root)
     }
@@ -573,17 +544,13 @@ mod tests {
     /// Closes a chain (`ring = false`) or a ring over atoms `5..5+k` of a
     /// 32-atom universe, with every edge free. Returns the translator, the
     /// closure, and the matrix cells the closure materialized.
-    fn close_chain_or_ring(
-        k: usize,
-        ring: bool,
-        strategy: ClosureStrategy,
-    ) -> (IncrementalTranslator, Matrix, u64) {
+    fn close_chain_or_ring(k: usize, ring: bool) -> (IncrementalTranslator, Matrix, u64) {
         let mut schema = Schema::new();
         let r = schema.relation("r", 2);
         let mut bounds = Bounds::new(&schema, 32);
         let edges = if ring { k } else { k - 1 };
         bounds.bound_upper(r, TupleSet::from_pairs((0..edges).map(|i| edge(i, k))));
-        let mut tr = IncrementalTranslator::new(&schema, &bounds, strategy);
+        let mut tr = IncrementalTranslator::new(&schema, &bounds);
         let before = tr.matrix_cells();
         let closed = tr.inner.expr(&rel(r).closure()).unwrap();
         let cells = tr.matrix_cells() - before;
@@ -596,39 +563,34 @@ mod tests {
     /// the `k`-edge cycles of a ring.
     #[test]
     fn support_sized_closure_is_exact() {
-        for strategy in [
-            ClosureStrategy::IterativeSquaring,
-            ClosureStrategy::Unrolled,
-        ] {
-            for k in [2usize, 3, 4, 5, 8, 9, 17] {
-                for ring in [false, true] {
-                    let (tr, closed, _) = close_chain_or_ring(k, ring, strategy);
-                    let c = tr.circuit();
-                    let edges = if ring { k } else { k - 1 };
-                    // `cut == edges` cuts nothing.
-                    for cut in 0..=edges {
-                        let mut inputs = vec![true; c.num_inputs()];
-                        if cut < edges {
-                            let (x, y) = edge(cut, k);
-                            inputs[tr.rel_inputs()[0][&Tuple::new(vec![x, y])] as usize] = false;
-                        }
-                        for i in 0..k {
-                            for j in 0..k {
-                                // Forward path i → j: edges i, i+1, … (mod k).
-                                let len = match (ring, j > i) {
-                                    (_, true) => j - i,
-                                    (true, false) => j + k - i,
-                                    (false, false) => 0,
-                                };
-                                let crosses = (0..len).any(|step| (i + step) % k == cut);
-                                let t = Tuple::new(vec![5 + i as Atom, 5 + j as Atom]);
-                                let got = c.eval(closed.get(c, &t), &inputs);
-                                assert_eq!(
-                                    got,
-                                    len > 0 && !crosses,
-                                    "{strategy:?} k={k} ring={ring} cut={cut} ({i},{j})"
-                                );
-                            }
+        for k in [2usize, 3, 4, 5, 8, 9, 17] {
+            for ring in [false, true] {
+                let (tr, closed, _) = close_chain_or_ring(k, ring);
+                let c = tr.circuit();
+                let edges = if ring { k } else { k - 1 };
+                // `cut == edges` cuts nothing.
+                for cut in 0..=edges {
+                    let mut inputs = vec![true; c.num_inputs()];
+                    if cut < edges {
+                        let (x, y) = edge(cut, k);
+                        inputs[tr.rel_inputs()[0][&Tuple::new(vec![x, y])] as usize] = false;
+                    }
+                    for i in 0..k {
+                        for j in 0..k {
+                            // Forward path i → j: edges i, i+1, … (mod k).
+                            let len = match (ring, j > i) {
+                                (_, true) => j - i,
+                                (true, false) => j + k - i,
+                                (false, false) => 0,
+                            };
+                            let crosses = (0..len).any(|step| (i + step) % k == cut);
+                            let t = Tuple::new(vec![5 + i as Atom, 5 + j as Atom]);
+                            let got = c.eval(closed.get(c, &t), &inputs);
+                            assert_eq!(
+                                got,
+                                len > 0 && !crosses,
+                                "k={k} ring={ring} cut={cut} ({i},{j})"
+                            );
                         }
                     }
                 }
@@ -644,7 +606,7 @@ mod tests {
     #[test]
     fn closure_squarings_follow_support_not_universe() {
         for k in [2usize, 3, 4, 5, 8, 9, 17] {
-            let (_, _, cells) = close_chain_or_ring(k, false, ClosureStrategy::IterativeSquaring);
+            let (_, _, cells) = close_chain_or_ring(k, false);
             let pairs_apart = |lo: usize, hi: usize| (lo..=hi).map(|d| k - d).sum::<usize>();
             let squarings = k.next_power_of_two().trailing_zeros();
             let want: usize = (0..squarings)
@@ -664,7 +626,7 @@ mod tests {
         let s = schema.relation("s", 1);
         let bounds = Bounds::new(&schema, 2);
         let bad = rel(r).union(&rel(s)).some();
-        let mut tr = IncrementalTranslator::new(&schema, &bounds, ClosureStrategy::default());
+        let mut tr = IncrementalTranslator::new(&schema, &bounds);
         assert!(tr.formula(&bad).is_err());
     }
 }

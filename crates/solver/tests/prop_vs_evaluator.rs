@@ -1,7 +1,7 @@
 //! Differential testing: the SAT-based model finder against the ground
 //! evaluator and exhaustive instance enumeration.
 
-use modelfinder::{ClosureStrategy, ModelFinder, Options, Problem};
+use modelfinder::{ModelFinder, Options, Problem};
 use relational::schema::rel;
 use relational::{eval_formula, patterns, Bounds, Expr, Formula, Instance, Schema, TupleSet};
 use testkit::Rng;
@@ -134,34 +134,21 @@ fn finder_matches_brute_force() {
                 formula: formula.clone(),
             };
             let expected = brute_force_sat(&c, n, &block, &formula);
-            for strategy in [
-                ClosureStrategy::IterativeSquaring,
-                ClosureStrategy::Unrolled,
-            ] {
-                let opts = Options {
-                    closure: strategy,
-                    ..Options::default()
-                };
-                let (verdict, _) = ModelFinder::new(opts).solve(&problem).unwrap();
-                match verdict {
-                    modelfinder::Verdict::Sat(inst) => {
-                        assert!(
-                            expected,
-                            "finder SAT, brute force UNSAT ({strategy:?}, n={n})"
-                        );
-                        assert!(
-                            eval_formula(&c.schema, &inst, &formula).unwrap(),
-                            "decoded instance does not satisfy formula ({strategy:?}, n={n})"
-                        );
-                    }
-                    modelfinder::Verdict::Unsat => {
-                        assert!(
-                            !expected,
-                            "finder UNSAT, brute force SAT ({strategy:?}, n={n})"
-                        );
-                    }
-                    modelfinder::Verdict::Unknown => panic!("no budget set"),
+            let (verdict, _) = ModelFinder::new(Options::default())
+                .solve(&problem)
+                .unwrap();
+            match verdict {
+                modelfinder::Verdict::Sat(inst) => {
+                    assert!(expected, "finder SAT, brute force UNSAT (n={n})");
+                    assert!(
+                        eval_formula(&c.schema, &inst, &formula).unwrap(),
+                        "decoded instance does not satisfy formula (n={n})"
+                    );
                 }
+                modelfinder::Verdict::Unsat => {
+                    assert!(!expected, "finder UNSAT, brute force SAT (n={n})");
+                }
+                modelfinder::Verdict::Unknown => panic!("no budget set"),
             }
         }
     });
