@@ -26,13 +26,13 @@
 //!
 //! It then compares the run's counters with the committed baseline,
 //! `crates/bench/counters.json` (the counters key of
-//! `obs::Snapshot::to_json_object`, one counter per line). A counter
-//! fails when it grew by more than [`MAX_RATIO`] over its baseline, or
-//! at all from a zero baseline; a baseline counter missing from the run
-//! fails; a counter only the run has is reported and passes (it is
-//! pinned at the next regeneration). Wall times go to stderr and are
-//! report-only, apart from the warm-cache floor. Exit status: 0 when
-//! every check passes, 1 otherwise.
+//! `obs::Snapshot::to_json_object`, one counter per line). The
+//! comparison is exact: a counter that grew, shrank, is new in the run
+//! or is missing from it fails the gate and is named in the report, so
+//! a counter moves only through a deliberate `UPDATE_BENCHGATE=1`
+//! regeneration. Wall times go to stderr and are report-only, apart
+//! from the warm-cache floor. Exit status: 0 when every check passes,
+//! 1 otherwise.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -45,9 +45,6 @@ use modelfinder::obs::{self, Snapshot};
 use modelfinder::{ModelFinder, Options, SessionPool};
 use ptxd::{Config, Server};
 use ptxmm_bench::run_sweep;
-
-/// Largest growth over its baseline a counter may show.
-const MAX_RATIO: f64 = 1.20;
 
 /// Times each litmus test is answered on each path: the session path
 /// amortizes its one-time translation while the scratch path pays it
@@ -116,45 +113,39 @@ fn main() -> ExitCode {
     }
 }
 
-/// Compares the run's counters with the baseline's. The report lists
+/// Compares the run's counters with the baseline's. The report names
 /// every counter that differs and ends in a summary line; it comes back
-/// as `Err` when the gate fails.
+/// as `Err` when any counter differs.
 fn gate(base: &Snapshot, run: &Snapshot) -> Result<String, String> {
     let mut out = String::new();
-    let (mut regressions, mut missing, mut fresh) = (0, 0, 0);
+    let mut differ = 0;
     for (name, &cur) in &run.counters {
         let _ = match base.counters.get(name) {
-            None => {
-                fresh += 1;
-                writeln!(out, "new        {name:<56} {cur}")
-            }
-            Some(&b) if cur > b && (b == 0 || cur as f64 / b as f64 > MAX_RATIO) => {
-                regressions += 1;
-                writeln!(out, "REGRESSION {name:<56} {b} -> {cur}")
-            }
-            Some(&b) if cur != b => writeln!(out, "changed    {name:<56} {b} -> {cur}"),
-            Some(_) => Ok(()),
+            None => writeln!(out, "NEW        {name:<56} (absent) -> {cur}"),
+            Some(&b) if cur > b => writeln!(out, "GREW       {name:<56} {b} -> {cur}"),
+            Some(&b) if cur < b => writeln!(out, "SHRANK     {name:<56} {b} -> {cur}"),
+            Some(_) => continue,
         };
+        differ += 1;
     }
     for (name, b) in &base.counters {
         if !run.counters.contains_key(name) {
-            missing += 1;
-            let _ = writeln!(out, "MISSING    {name:<56} {b} -> (absent from the run)");
+            differ += 1;
+            let _ = writeln!(out, "MISSING    {name:<56} {b} -> (absent)");
         }
     }
-    let compared = base.counters.len() - missing;
-    if regressions + missing > 0 {
+    if differ > 0 {
         let _ = writeln!(
             out,
-            "benchgate: {regressions} regression(s), {missing} missing counter(s) across \
-             {compared} compared counters (threshold {MAX_RATIO:.2}x)"
+            "benchgate: {differ} counter(s) differ from the baseline; after an intended \
+             change, regenerate it with UPDATE_BENCHGATE=1"
         );
         Err(out)
     } else {
         let _ = writeln!(
             out,
-            "benchgate: no regressions across {compared} compared counters \
-             ({fresh} new report-only, threshold {MAX_RATIO:.2}x)"
+            "benchgate: all {} counters match the baseline",
+            base.counters.len()
         );
         Ok(out)
     }
@@ -408,7 +399,7 @@ mod tests {
     fn identical_snapshots_pass() {
         let base = committed();
         let report = gate(&base, &base).expect("identical counters pass");
-        assert!(report.starts_with("benchgate: no regressions"), "{report}");
+        assert!(report.starts_with("benchgate: all "), "{report}");
     }
 
     #[test]
@@ -419,7 +410,7 @@ mod tests {
             // 2v + 1 so zero baselines are inflated too.
             run.counters.insert(name.clone(), 2 * v + 1);
             let report = gate(&base, &run).expect_err(name);
-            assert!(report.contains(&format!("REGRESSION {name} ")), "{report}");
+            assert!(report.contains(&format!("GREW       {name} ")), "{report}");
         }
     }
 
@@ -437,28 +428,33 @@ mod tests {
     #[test]
     fn growth_from_zero_fails() {
         let report = gate(&snap(&[("a", 0)]), &snap(&[("a", 1)])).unwrap_err();
-        assert!(report.contains("REGRESSION a "), "{report}");
+        assert!(report.contains("GREW       a "), "{report}");
     }
 
     #[test]
-    fn growth_within_the_ratio_passes() {
-        let report = gate(&snap(&[("a", 100)]), &snap(&[("a", 120)])).unwrap();
-        assert!(report.contains("changed    a "), "{report}");
-        assert!(gate(&snap(&[("a", 100)]), &snap(&[("a", 121)])).is_err());
+    fn any_growth_fails() {
+        // 1.20x was within the old tolerance; now any growth fails.
+        let report = gate(&snap(&[("a", 100)]), &snap(&[("a", 120)])).unwrap_err();
+        assert!(report.contains("GREW       a "), "{report}");
+        assert!(report.contains("1 counter(s) differ"), "{report}");
     }
 
     #[test]
-    fn run_only_counter_is_report_only() {
-        let report = gate(&snap(&[("a", 1)]), &snap(&[("a", 1), ("b", 7)])).unwrap();
-        assert!(report.contains("new        b "), "{report}");
-        assert!(report.contains("(1 new report-only"), "{report}");
+    fn run_only_counter_fails() {
+        let report = gate(&snap(&[("a", 1)]), &snap(&[("a", 1), ("b", 7)])).unwrap_err();
+        assert!(report.contains("NEW        b "), "{report}");
     }
 
     #[test]
-    fn decrease_passes() {
-        let report = gate(&snap(&[("a", 100), ("b", 5)]), &snap(&[("a", 1), ("b", 0)])).unwrap();
-        assert!(report.contains("changed    a "), "{report}");
-        assert!(report.contains("changed    b "), "{report}");
+    fn any_decrease_fails() {
+        let report = gate(
+            &snap(&[("a", 100), ("b", 5)]),
+            &snap(&[("a", 99), ("b", 0)]),
+        )
+        .unwrap_err();
+        assert!(report.contains("SHRANK     a "), "{report}");
+        assert!(report.contains("SHRANK     b "), "{report}");
+        assert!(report.contains("2 counter(s) differ"), "{report}");
     }
 
     #[test]

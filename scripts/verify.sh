@@ -73,10 +73,10 @@ done
 # the ptxd suite (scratch vs cold vs warm server) in-process on one
 # worker, fails on any verdict drift across paths, on a cold cache hit
 # or warm miss, and on a warm pass under 10x scratch, then compares
-# every counter with crates/bench/counters.json: growth past 1.20x
-# (or from 0) and missing counters fail. Counters are deterministic on
-# one worker, so drift means the code no longer matches the baseline;
-# regenerate it deliberately with UPDATE_BENCHGATE=1.
+# every counter with crates/bench/counters.json exactly: a counter that
+# grew, shrank, appeared or vanished fails. Counters are deterministic
+# on one worker, so drift means the code no longer matches the
+# baseline; regenerate it deliberately with UPDATE_BENCHGATE=1.
 echo "== counter gate (benchgate) =="
 cargo run --release --offline -q -p ptxmm-bench --bin benchgate
 
