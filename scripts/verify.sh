@@ -30,6 +30,8 @@ autopsy_json="$(mktemp)"
 reduce_json="$(mktemp)"
 path_json="$(mktemp)"
 golden_out="$(mktemp)"
+arg_out="$(mktemp)"
+arg_err="$(mktemp)"
 ptxd_addr="$(mktemp)"
 ptxd_stats="$(mktemp)"
 ptxd_run_a="$(mktemp)"
@@ -40,7 +42,7 @@ ptxd_pid=""
 cleanup() {
     [ -n "$ptxd_pid" ] && kill "$ptxd_pid" 2> /dev/null
     rm -f "$stats_a" "$stats_b" "$trace_json" "$autopsy_json" "$reduce_json" \
-        "$path_json" "$golden_out" "$ptxd_addr" "$ptxd_stats" \
+        "$path_json" "$golden_out" "$arg_out" "$arg_err" "$ptxd_addr" "$ptxd_stats" \
         "$ptxd_run_a" "$ptxd_run_b" "$ptxd_access" "$ptxtop_out"
 }
 trap cleanup EXIT
@@ -312,6 +314,33 @@ if grep -rnE 'Obj\((Vec|BTreeMap|HashMap)<|Arr\(Vec<|fn parse_(object|array)\b|e
     echo "verify.sh: JSON value type or parser outside obs::json (use obs::json::parse)" >&2
     exit 1
 fi
+
+# Shared-flag dedup: obs::cli is the one parser of the run flags the
+# drivers share; a binary matching one of them by hand drifts from its
+# error messages and its stats/trace flush. Keep it so.
+echo "== single run-flag parser check =="
+if grep -nE '"--(jobs|timeout-secs|stats-json|trace-out)"' crates/*/src/bin/*.rs; then
+    echo "verify.sh: shared run flag parsed outside obs::cli (list it in the binary's Cli::flags)" >&2
+    exit 1
+fi
+
+# Argument errors: each driver refuses a bad argument with a non-zero
+# exit, nothing on stdout, and a `prog: message` line on stderr.
+echo "== argument error smoke (six drivers) =="
+for bad in "ptxherd --jobs 0" "ptxdistill --jobs 0" "fig17_table --jobs 0" \
+    "fuzzherd --jobs 0" "ptxd --jobs 0" "ptxsat --bogus"; do
+    prog="${bad%% *}"
+    # shellcheck disable=SC2086 # word-splitting the argument is intended
+    if ./target/release/$bad > "$arg_out" 2> "$arg_err"; then
+        echo "verify.sh: \`$bad\` exited 0" >&2
+        exit 1
+    fi
+    if [ -s "$arg_out" ] || ! head -n 1 "$arg_err" | grep -q "^$prog: "; then
+        echo "verify.sh: \`$bad\` wrote stdout or no \`$prog:\` error on stderr" >&2
+        cat "$arg_out" "$arg_err" >&2
+        exit 1
+    fi
+done
 
 # Fixed-seed differential-fuzzing smoke: every generator round is
 # deterministic under --seed, so this also guards against generator
