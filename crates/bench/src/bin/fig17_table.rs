@@ -23,9 +23,14 @@
 //! `benchgate`, which runs bounds 2–3 on both paths and gates their
 //! counters.
 //!
+//! The human rows carry no wall time, so flagless stdout is
+//! byte-identical between runs (`tests/golden/`); each query's time is
+//! the `--json` `wall_secs` field.
+//!
 //! `--stats` prints an observability table after the sweep — totals plus
 //! per-query counters under `query.<name>.`; `--stats-json PATH` writes
-//! the same snapshot as JSON Lines.
+//! the same snapshot as JSON Lines. All flags but `--sessions` are the
+//! shared run flags of [`modelfinder::obs::cli`].
 //!
 //! `--trace-out PATH` writes the sweep's event timeline as Chrome
 //! trace-event JSON (translate/encode/solve spans per query, worker-

@@ -30,7 +30,8 @@
 //! `--stats-json PATH` writes the snapshot as JSON Lines in the shared
 //! `obs` schema. `--trace-out PATH` writes the run's event timeline as
 //! Chrome trace-event JSON (per-round `query:*` spans, worker-tagged),
-//! loadable in Perfetto.
+//! loadable in Perfetto. All flags but `--rounds` and `--seed` are the
+//! shared run flags of [`modelfinder::obs::cli`].
 
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};

@@ -26,7 +26,10 @@
 //!
 //! `--json` switches stdout to one JSON Lines record per kept test;
 //! `--stats` / `--stats-json PATH` and `--trace-out PATH` mirror
-//! `ptxherd`'s observability flags.
+//! `ptxherd`'s observability flags, except that the `--stats` table goes
+//! to stderr so stdout stays the result. These and `--jobs` /
+//! `--timeout-secs` are the shared run flags of
+//! [`modelfinder::obs::cli`].
 
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};

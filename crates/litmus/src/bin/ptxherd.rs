@@ -44,6 +44,11 @@
 //! times); `--stats-json PATH` writes the same snapshot as JSON Lines in
 //! the shared `obs` schema. Counter values are deterministic for
 //! fixed-seed single-job runs; timings are not.
+//!
+//! The shared run flags (`--jobs`, `--timeout-secs`, `--json`,
+//! `--stats`, `--stats-json`, `--trace-out`) are parsed by
+//! [`modelfinder::obs::cli`], which also writes the stats and trace at
+//! exit; an argument error prints `ptxherd: message` and the usage line.
 
 use std::process::ExitCode;
 use std::sync::Arc;

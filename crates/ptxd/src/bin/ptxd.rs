@@ -13,7 +13,9 @@
 //! Shutdown: `SIGTERM`/`SIGINT` (Linux; a raw-syscall signalfd, since
 //! the workspace has no libc binding) or the `shutdown` op. Both drain
 //! queued and in-flight queries before exit, then flush `--stats-json`
-//! / `--trace-out`.
+//! / `--trace-out`. Those two and `--jobs` are parsed by [`obs::cli`],
+//! the parser the other drivers share; `ptxd` takes no
+//! `--timeout-secs` (deadlines come with each request).
 //!
 //! The service benchmark (scratch vs cold server vs warm verdict cache)
 //! runs in-process in `benchgate` (`crates/bench`).

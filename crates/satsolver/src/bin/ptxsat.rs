@@ -13,6 +13,7 @@
 //! `scripts/verify.sh`: a conflict-heavy instance with a pinned low
 //! cadence must show nonzero `solver.reduce_sweeps` and
 //! `solver.deleted_clauses`, proving the deletion policy fires.
+//! `--stats-json` is the one shared run flag ([`obs::cli`]) it takes.
 
 use std::io::Read;
 use std::process::ExitCode;
