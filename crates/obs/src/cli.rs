@@ -18,7 +18,7 @@ use crate::trace::Tracer;
 use crate::{Registry, Snapshot};
 
 /// One shared run flag.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 pub enum Flag {
     /// `--jobs N`: worker threads, at least 1.
     Jobs,
@@ -48,7 +48,7 @@ impl Flag {
     ];
 
     /// The flag as typed on the command line.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             Flag::Jobs => "--jobs",
             Flag::TimeoutSecs => "--timeout-secs",
