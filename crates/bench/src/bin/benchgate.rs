@@ -11,14 +11,17 @@
 //! * `bound{2,3}.{scratch,sessions}.*` — the Figure 17 sweep (both
 //!   scope modes × Coherence/Atomicity/SC) at bounds 2 and 3, from
 //!   scratch and through pooled [`mapping::AxiomSession`]s. The two
-//!   paths must give the same verdicts.
+//!   paths must give the same verdicts. The sessions rows include what
+//!   opening the sessions cost (`session.open.*`).
 //! * `litmus.{scratch,sessions}.*` — every test of
 //!   `library::extended_suite()` answered [`LITMUS_REPEATS`] times from
 //!   scratch and as often through pooled `SatSession`s. The two paths
-//!   must give the same verdicts.
+//!   must give the same verdicts; the sessions rows include
+//!   `session.open.*`.
 //! * `ptxd.*` — the bundled PTX and C11 suites answered from scratch,
 //!   then by an in-process one-worker `ptxd` server with a cold and
-//!   then a warm verdict cache. The three verdict columns must agree,
+//!   then a warm verdict cache (its session opens as
+//!   `ptxd.session.open.*`). The three verdict columns must agree,
 //!   the cold pass must see no cache hit and the warm pass only cache
 //!   hits, `ptxd.cache_hits` must equal the suite length, and the warm
 //!   pass must be at least [`MIN_WARM_SPEEDUP`] times faster than
@@ -226,7 +229,9 @@ fn litmus_suite(reg: &obs::Registry) -> Result<(), String> {
         let t1 = Instant::now();
         for _ in 0..LITMUS_REPEATS {
             let mut session = pool.checkout(&sig, || {
-                SatSession::new(sig).expect("internal encoding error")
+                let session = SatSession::new(sig).expect("internal encoding error");
+                session.stats().open.record_obs(&session_obs);
+                session
             });
             let r = session
                 .run(&test)
@@ -333,13 +338,17 @@ fn ptxd_suite(reg: &obs::Registry) -> Result<(), String> {
         ));
     }
 
-    // Only the deterministic service counters are gated: solver-side
-    // work is covered by the litmus rows, `batched`/`pool.reused`
+    // Only the deterministic service counters are gated, with what the
+    // server's session opens cost (as `ptxd.session.open.*`): solver-side
+    // query work is covered by the litmus rows, `batched`/`pool.reused`
     // depend on whether the worker's batch scan wins the race against
     // the client's next send, and the latency histograms vary run to
     // run.
     for (name, &v) in &snapshot.counters {
-        if name.starts_with("ptxd.") && name != "ptxd.batched" && name != "ptxd.pool.reused" {
+        if name.starts_with("session.open.") {
+            reg.add(&format!("ptxd.{name}"), v);
+        } else if name.starts_with("ptxd.") && name != "ptxd.batched" && name != "ptxd.pool.reused"
+        {
             reg.add(name, v);
         }
     }

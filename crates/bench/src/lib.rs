@@ -31,8 +31,15 @@ pub fn run_sweep(
                 queries.push(Query::new(name, move |ctx| {
                     if sessions {
                         let mut session = pool.checkout(&(mode, bound), || {
-                            AxiomSession::new(bound, mode, RecipeVariant::Correct, Options::check())
-                                .expect("internal encoding error")
+                            let session = AxiomSession::new(
+                                bound,
+                                mode,
+                                RecipeVariant::Correct,
+                                Options::check(),
+                            )
+                            .expect("internal encoding error");
+                            session.stats().open.record_obs(&ctx.obs);
+                            session
                         });
                         session.set_cancel(Some(ctx.cancel.clone()));
                         session.set_deadline(ctx.timeout);

@@ -10,7 +10,7 @@
 //! The search sweeps every universe shape up to `--max-bound` total
 //! events (including per-location init writes), asking at each shape
 //! for an execution consistent under one model and inconsistent under
-//! the other — in both directions ([`litmus::distill`]). Every witness
+//! the other — in both directions ([`litmus::distill()`]). Every witness
 //! is lifted into a concrete litmus test and round-trip verified under
 //! *both* models on *both* engines (enumeration and symbolic SAT, with
 //! `Unsat` answers DRAT-certified); only tests whose *verdicts* differ

@@ -366,7 +366,9 @@ fn sat_output(
 ) -> QueryOutput {
     let sig = sat::signature(&test.program);
     let mut session = pool.checkout(&sig, || {
-        SatSession::new(sig).expect("internal encoding error")
+        let session = SatSession::new(sig).expect("internal encoding error");
+        session.stats().open.record_obs(&ctx.obs);
+        session
     });
     session.set_cancel(Some(ctx.cancel.clone()));
     session.set_deadline(ctx.timeout);

@@ -188,7 +188,7 @@ const MAX_DEPTH: usize = 64;
 
 /// Parses one complete JSON value from `text` (leading and trailing
 /// whitespace allowed, nothing else). Returns `None` on malformed
-/// input, trailing garbage, or nesting deeper than [`MAX_DEPTH`] — the
+/// input, trailing garbage, or nesting deeper than 64 levels — the
 /// callers are servers reading untrusted lines, so there are no panics.
 pub fn parse(text: &str) -> Option<Value> {
     let mut p = Parser {

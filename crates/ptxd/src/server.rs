@@ -987,7 +987,10 @@ fn run_ptx_sat(
             } else {
                 Options::default()
             };
-            SatSession::with_options_model(sig.1, sig.0, options).expect("internal encoding error")
+            let session = SatSession::with_options_model(sig.1, sig.0, options)
+                .expect("internal encoding error");
+            session.stats().open.record_obs(&shared.obs);
+            session
         });
         *slot = Some((sig, session));
     }

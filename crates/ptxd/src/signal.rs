@@ -9,9 +9,9 @@
 //! arrives it is delivered as a readable event instead of interrupting
 //! anything, and the watcher triggers the server's drain path.
 //!
-//! On other platforms [`block_and_open`] returns `None` and the server
-//! simply has no signal-driven shutdown (the `shutdown` op and test
-//! handles still work).
+//! On other platforms [`SignalFd::block_and_open`] returns `None` and
+//! the server simply has no signal-driven shutdown (the `shutdown` op
+//! and test handles still work).
 
 /// A readable signalfd carrying blocked `SIGTERM` / `SIGINT`.
 #[derive(Debug)]

@@ -39,7 +39,7 @@ impl ClauseRef {
     }
 }
 
-/// How an [`Arena`] allocates its backing store.
+/// How a clause arena allocates its backing store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ArenaMode {
     /// Cache-line (64-byte) aligned heap allocation.

@@ -90,7 +90,7 @@ pub struct SolverStats {
     /// Total learn-time LBD across all learnt clauses
     /// (`lbd_sum / learnt_clauses` is the mean glue).
     pub lbd_sum: u64,
-    /// Learnt clauses whose learn-time LBD was at most [`GLUE_LBD`]
+    /// Learnt clauses whose learn-time LBD was at most `GLUE_LBD` (2)
     /// (these are permanently protected from deletion).
     pub lbd_glue_learnts: u64,
     /// Number of learnt-database reduction sweeps.
@@ -380,7 +380,7 @@ impl Solver {
 
     /// Installs an event tracer. The search loop then emits `sat.restart`
     /// and `sat.reduce_db` instants plus a `sat.conflicts` counter sample
-    /// every [`TRACE_CONFLICT_PERIOD`] conflicts — rare milestone events
+    /// every `TRACE_CONFLICT_PERIOD` (2048) conflicts — rare milestone events
     /// only, so the hot path stays hot. A disabled tracer uninstalls the
     /// hooks.
     pub fn set_tracer(&mut self, tracer: &obs::trace::Tracer) {

@@ -259,6 +259,18 @@ impl Circuit {
     }
 }
 
+/// The encoding state of one gate in a [`CircuitEncoder`].
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    /// Not encoded yet.
+    Unseen,
+    /// In the cone the running `encode` call is collecting (no slot is
+    /// in this state between calls).
+    Queued,
+    /// Encoded as this literal.
+    Encoded(Lit),
+}
+
 /// An incremental Tseitin encoder: one growing [`Circuit`] feeding one
 /// long-lived [`Solver`] across many queries.
 ///
@@ -267,15 +279,16 @@ impl Circuit {
 /// by an earlier call; thanks to the circuit's structural hashing,
 /// subcircuits shared between queries (relation matrices, closure
 /// squaring chains, axiom bodies) therefore hit the cache and cost
-/// nothing. `encode` does **not** assert the root — the caller decides whether the returned literal becomes a
-/// permanent unit clause or an activation-guarded implication.
+/// nothing. `encode` does **not** assert the root — the caller decides
+/// whether the returned literal becomes a permanent unit clause or an
+/// activation-guarded implication.
 ///
 /// An encoder is tied to the circuit/solver pair it was first used with;
 /// mixing circuits or solvers produces nonsense encodings.
 #[derive(Debug, Default)]
 pub struct CircuitEncoder {
-    /// Gate-indexed literal cache; `None` = not yet encoded.
-    lits: Vec<Option<Lit>>,
+    /// Gate-indexed encoding state.
+    lits: Vec<Slot>,
     input_vars: HashMap<u32, Var>,
     gates_encoded: u64,
     cache_hits: u64,
@@ -289,23 +302,26 @@ impl CircuitEncoder {
     }
 
     /// Encodes the not-yet-encoded part of `root`'s cone into `solver`
-    /// and returns the literal representing `root` (not asserted).
+    /// and returns the literal representing `root` (not asserted). The
+    /// work is proportional to that new part, not to the whole circuit,
+    /// so a query on a long-lived session pays only for its own gates.
     pub fn encode(&mut self, circuit: &Circuit, root: GateId, solver: &mut Solver) -> Lit {
         if self.lits.len() < circuit.gates.len() {
-            self.lits.resize(circuit.gates.len(), None);
+            self.lits.resize(circuit.gates.len(), Slot::Unseen);
         }
         // Cone of influence, stopping at already-encoded gates.
-        let mut needed = vec![false; circuit.gates.len()];
+        let mut cone = Vec::new();
         let mut stack = vec![root];
         while let Some(g) = stack.pop() {
-            if needed[g.index()] {
-                continue;
+            match self.lits[g.index()] {
+                Slot::Encoded(_) => {
+                    self.cache_hits += 1;
+                    continue;
+                }
+                Slot::Queued => continue,
+                Slot::Unseen => self.lits[g.index()] = Slot::Queued,
             }
-            if self.lits[g.index()].is_some() {
-                self.cache_hits += 1;
-                continue;
-            }
-            needed[g.index()] = true;
+            cone.push(g.0);
             match circuit.gates[g.index()] {
                 Gate::Not(a) => stack.push(a),
                 Gate::And(a, b) | Gate::Or(a, b) => {
@@ -316,57 +332,66 @@ impl CircuitEncoder {
             }
         }
         // Gate ids are topologically ordered (operands precede users), so
-        // one pass in index order sees every operand before its gate.
-        for (i, gate) in circuit.gates.iter().enumerate() {
-            if !needed[i] {
-                continue;
-            }
-            self.gates_encoded += 1;
-            let lit = match *gate {
-                Gate::False | Gate::True => {
-                    // Encode constants as a variable frozen by a unit clause;
-                    // the literal then correctly carries the constant value.
-                    let v = solver.new_var();
-                    let l = v.positive();
-                    solver.add_clause(&[if matches!(gate, Gate::True) { l } else { !l }]);
-                    self.tseitin_clauses += 1;
-                    l
-                }
-                Gate::Input(k) => {
-                    let v = solver.new_var();
-                    self.input_vars.insert(k, v);
-                    v.positive()
-                }
-                Gate::Not(a) => !self.lits[a.index()].expect("operand encoded first"),
-                Gate::And(_, _) | Gate::Or(_, _) => solver.new_var().positive(),
-            };
-            self.lits[i] = Some(lit);
-            // Emit defining clauses for composite gates.
-            match *gate {
-                Gate::And(a, b) => {
-                    let (la, lb) = (
-                        self.lits[a.index()].expect("topological order"),
-                        self.lits[b.index()].expect("topological order"),
-                    );
-                    solver.add_clause(&[!lit, la]);
-                    solver.add_clause(&[!lit, lb]);
-                    solver.add_clause(&[lit, !la, !lb]);
-                    self.tseitin_clauses += 3;
-                }
-                Gate::Or(a, b) => {
-                    let (la, lb) = (
-                        self.lits[a.index()].expect("topological order"),
-                        self.lits[b.index()].expect("topological order"),
-                    );
-                    solver.add_clause(&[!lit, la, lb]);
-                    solver.add_clause(&[lit, !la]);
-                    solver.add_clause(&[lit, !lb]);
-                    self.tseitin_clauses += 3;
-                }
-                _ => {}
-            }
+        // encoding the cone in ascending id order sees every operand
+        // before its gate.
+        cone.sort_unstable();
+        for i in cone {
+            self.emit(circuit, i as usize, solver);
         }
-        self.lits[root.index()].expect("root encoded")
+        self.lit(root)
+    }
+
+    /// Encodes gate `i`, whose operands are encoded already, and emits
+    /// its defining clauses.
+    fn emit(&mut self, circuit: &Circuit, i: usize, solver: &mut Solver) {
+        let gate = circuit.gates[i];
+        self.gates_encoded += 1;
+        let lit = match gate {
+            Gate::False | Gate::True => {
+                // Encode constants as a variable frozen by a unit clause;
+                // the literal then correctly carries the constant value.
+                let v = solver.new_var();
+                let l = v.positive();
+                solver.add_clause(&[if matches!(gate, Gate::True) { l } else { !l }]);
+                self.tseitin_clauses += 1;
+                l
+            }
+            Gate::Input(k) => {
+                let v = solver.new_var();
+                self.input_vars.insert(k, v);
+                v.positive()
+            }
+            Gate::Not(a) => !self.lit(a),
+            Gate::And(_, _) | Gate::Or(_, _) => solver.new_var().positive(),
+        };
+        self.lits[i] = Slot::Encoded(lit);
+        // Emit defining clauses for composite gates.
+        match gate {
+            Gate::And(a, b) => {
+                let (la, lb) = (self.lit(a), self.lit(b));
+                solver.add_clause(&[!lit, la]);
+                solver.add_clause(&[!lit, lb]);
+                solver.add_clause(&[lit, !la, !lb]);
+                self.tseitin_clauses += 3;
+            }
+            Gate::Or(a, b) => {
+                let (la, lb) = (self.lit(a), self.lit(b));
+                solver.add_clause(&[!lit, la, lb]);
+                solver.add_clause(&[lit, !la]);
+                solver.add_clause(&[lit, !lb]);
+                self.tseitin_clauses += 3;
+            }
+            _ => {}
+        }
+    }
+
+    /// The literal of an encoded gate. Operands are encoded before their
+    /// users (ascending id order), so a miss is an encoder bug.
+    fn lit(&self, g: GateId) -> Lit {
+        match self.lits[g.index()] {
+            Slot::Encoded(lit) => lit,
+            Slot::Unseen | Slot::Queued => panic!("gate {} used before it was encoded", g.0),
+        }
     }
 
     /// The SAT variable carrying input `k`, if its gate has been encoded.

@@ -17,9 +17,11 @@
 //! Features mirroring Kodkod:
 //!
 //! * sparse gate matrices with constant folding and structural hashing,
-//! * transitive closure by iterative squaring (naive unrolling available
-//!   for ablation), with the step count sized by the atoms the closed
-//!   relation actually touches rather than by the universe,
+//! * transitive closure by iterative squaring, with the step count sized
+//!   by the atoms the closed relation actually touches rather than by
+//!   the universe,
+//! * each shared subterm translated once per binding of its quantified
+//!   variables (a per-formula translation cache),
 //! * exact lower bounds contribute no SAT variables,
 //! * lex-leader symmetry breaking over interchangeable atoms.
 //!
@@ -38,5 +40,5 @@ pub use finder::{ModelFinder, Options, Problem, Report, Verdict};
 pub use harness::{HarnessOptions, Query, QueryCtx, QueryOutput, QueryRecord, SessionPool};
 pub use obs;
 pub use satsolver::{drat, hash, CancelToken, Interrupt, Lit, Proof, SolverStats};
-pub use session::{Session, SessionStats};
+pub use session::{OpenStats, Session, SessionStats};
 pub use translate::IncrementalTranslator;

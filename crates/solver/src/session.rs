@@ -56,6 +56,8 @@ pub struct SessionStats {
     pub matrix_cells: u64,
     /// Tseitin defining clauses emitted by the session's encoder.
     pub tseitin_clauses: u64,
+    /// What opening the session cost (included in the totals above).
+    pub open: OpenStats,
 }
 
 impl SessionStats {
@@ -74,6 +76,42 @@ impl SessionStats {
         reg.record_duration("time.session_translate", self.translate_time);
         reg.record_duration("time.session_encode", self.encode_time);
         reg.record_duration("time.session_solve", self.solve_time);
+    }
+}
+
+/// The one-time cost of [`Session::new`]: translating and encoding the
+/// base formula and asserting it at level 0, before any query.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct OpenStats {
+    /// Time translating the base formula (and any symmetry-breaking
+    /// predicates).
+    pub translate_time: Duration,
+    /// Time Tseitin-encoding the base and asserting its root.
+    pub encode_time: Duration,
+    /// Circuit gates after the base translation.
+    pub gates: u64,
+    /// Tseitin defining clauses the base emitted.
+    pub tseitin_clauses: u64,
+    /// Level-0 propagations of asserting the base (its root unit and the
+    /// constant gates' units): the search work every query inherits and
+    /// no query report counts.
+    pub propagations: u64,
+}
+
+impl OpenStats {
+    /// Records one open under `session.open.*` (counters) and
+    /// `time.session_open_*` (timings; their count is the number of
+    /// opens). Callers record each session once, when it is created.
+    /// No-op for a disabled registry.
+    pub fn record_obs(&self, reg: &obs::Registry) {
+        if !reg.enabled() {
+            return;
+        }
+        reg.add("session.open.gates", self.gates);
+        reg.add("session.open.tseitin_clauses", self.tseitin_clauses);
+        reg.add("session.open.propagations", self.propagations);
+        reg.record_duration("time.session_open_translate", self.translate_time);
+        reg.record_duration("time.session_open_encode", self.encode_time);
     }
 }
 
@@ -138,7 +176,6 @@ impl Session {
         options: Options,
     ) -> Result<Session, TypeError> {
         let mut options = options;
-        let mut stats = SessionStats::default();
         let t0 = Instant::now();
         let translate_span = options.tracer.span("translate");
         let mut translator = IncrementalTranslator::new(schema, bounds);
@@ -161,7 +198,8 @@ impl Session {
             base_root = circuit.and(base_root, sym);
         }
         drop(translate_span);
-        stats.translate_time += t0.elapsed();
+        let translate_time = t0.elapsed();
+        let gates = translator.circuit().num_gates() as u64;
 
         let t1 = Instant::now();
         let mut solver = Solver::new();
@@ -177,7 +215,19 @@ impl Session {
         let base_lit = encoder.encode(translator.circuit(), base_root, &mut solver);
         solver.add_clause(&[base_lit]);
         drop(encode_span);
-        stats.encode_time += t1.elapsed();
+        let open = OpenStats {
+            translate_time,
+            encode_time: t1.elapsed(),
+            gates,
+            tseitin_clauses: encoder.tseitin_clauses(),
+            propagations: solver.stats().propagations,
+        };
+        let stats = SessionStats {
+            translate_time: open.translate_time,
+            encode_time: open.encode_time,
+            open,
+            ..SessionStats::default()
+        };
 
         Ok(Session {
             translator,
@@ -215,7 +265,8 @@ impl Session {
         self.options.tracer = tracer;
     }
 
-    /// Cumulative work counters.
+    /// Cumulative work counters, and what the open cost
+    /// ([`SessionStats::open`]).
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             gates_encoded: self.encoder.gates_encoded(),
@@ -553,6 +604,34 @@ mod tests {
         assert!(v1.instance().is_some());
         let (v2, _) = session.solve(&rel(r).some()).unwrap();
         assert!(v2.instance().is_some());
+    }
+
+    #[test]
+    fn open_stats_cover_the_base_and_stay_fixed() {
+        let (schema, bounds, base) = acyclic_base();
+        let r = schema.find("r").unwrap();
+        let mut session = Session::new(&schema, &bounds, &base, Options::default()).unwrap();
+        let open = session.stats().open;
+        assert_eq!(open.gates, session.translator.circuit().num_gates() as u64);
+        assert_eq!(open.tseitin_clauses, session.encoder.tseitin_clauses());
+        assert_eq!(open.propagations, session.solver_stats().propagations);
+        assert!(open.tseitin_clauses > 0 && open.propagations > 0);
+
+        let _ = session.solve(&rel(r).join(&rel(r)).some()).unwrap();
+        let after = session.stats();
+        assert_eq!(after.open.gates, open.gates);
+        assert_eq!(after.open.propagations, open.propagations);
+        assert!(after.tseitin_clauses > open.tseitin_clauses);
+
+        let reg = obs::Registry::new();
+        open.record_obs(&reg);
+        open.record_obs(&reg);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("session.open.gates"), 2 * open.gates);
+        assert_eq!(
+            snap.counter("session.open.propagations"),
+            2 * open.propagations
+        );
     }
 
     #[test]

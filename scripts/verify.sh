@@ -23,6 +23,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+# Docs build clean: a broken or ambiguous intra-doc link, or public docs
+# linking a private item, fails here instead of drifting unseen.
+echo "== cargo doc --workspace --no-deps (RUSTDOCFLAGS=-D warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 stats_a="$(mktemp)"
 stats_b="$(mktemp)"
 trace_json="$(mktemp)"
